@@ -32,7 +32,7 @@ COMMAND_OPERATIONS = {
                 "smoothing.mixing_artifact_demo"],
     "fit-loglinear": ["loglinear.fit_ipf", "loglinear.fit_closed_form_casecontrol"],
     "fit-logit": ["logit.parse_formula", "logit.fit_logit", "logit.fitted_odds_ratios"],
-    "smooth": ["smoothing.smooth", "loglinear.fit_ipf", "loglinear.logcount_covariance"],
+    "smooth": ["smoothing.smooth", "loglinear.fit_ipf", "loglinear.contrast_variances"],
     "select": ["loglinear.forward_select", "graphs.cliques"],
     "graph-check": ["graphs.find_collision_vs", "graphs.is_markov_equivalent_to_concentration",
                     "graphs.separates", "graphs.implied_independencies",
@@ -318,7 +318,7 @@ def cmd_smooth(args) -> int:
         lines.append(f"smoothed odds-ratios ({args.response},{args.or_factor}):")
         for lv, val in sorted(ors.items()):
             label = ",".join(f"{v}={l}" for v, l in zip(given, lv))
-            lines.append(f"  {label:<24} {_fmt(val)}  (se of log: {ses[lv]:.3f})")
+            lines.append(f"  {label:<24} {_fmt(val)}  (se of log: {_fmt(ses[lv], 3)})")
     if args.fitted:
         lines.append("fitted joint cells:")
         for lv, c in est.fitted_joint.cells():
@@ -446,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for simulation-backed commands")
         if data:
             p.add_argument("--data", help="cell-CSV path (default: bundled dataset)")
             p.add_argument("--slice", help="condition on an address first, e.g. L=1")

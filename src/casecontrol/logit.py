@@ -267,12 +267,13 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         except np.linalg.LinAlgError:
             message = "singular information matrix (separation or collinear terms)"
             break
-        # step halving: never accept a likelihood decrease
+        # step halving: never accept a likelihood decrease beyond the
+        # rounding of a sum of magnitude |loglik|
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
             cand_ll = _binomial_loglik(y, n, X @ candidate)
-            if cand_ll >= loglik - 1e-12:
+            if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
                 break
             scale *= 0.5
         delta_ll = cand_ll - loglik

@@ -309,12 +309,16 @@ def forward_select(observed: ContingencyTable, alpha: float,
     return graphs.full_line_graph(nodes, edges)
 
 
-# -- covariance of fitted log counts -----------------------------------------
+# -- variances of fitted log-count contrasts --------------------------------
 
 def term_design(schema: Schema, generators) -> np.ndarray:
     """Design matrix of the hierarchical expansion: one row per cell in
     lexicographic order, one dummy-coded column per distinct generator
-    subset (a column of ones for the empty set)."""
+    subset (a column of ones for the empty set).
+
+    Cell i has variable v at level 1 when bit ``k - 1 - axis(v)`` of i is
+    set, so a term's column is ``(i & mask) == mask`` for the term's mask.
+    """
     subsets = {()}
     for g in generators:
         g = tuple(sorted(g, key=schema.axis))
@@ -322,23 +326,28 @@ def term_design(schema: Schema, generators) -> np.ndarray:
             subsets.update(itertools.combinations(g, r))
     ordered = sorted(subsets, key=lambda s: (len(s), tuple(schema.axis(v) for v in s)))
     k = len(schema)
-    cells = list(itertools.product((0, 1), repeat=k))
-    X = np.ones((len(cells), len(ordered)))
-    for j, term in enumerate(ordered):
-        axes = [schema.axis(v) for v in term]
-        for i, cell in enumerate(cells):
-            X[i, j] = float(all(cell[ax] == 1 for ax in axes))
-    return X
+    masks = np.array([sum(1 << (k - 1 - schema.axis(v)) for v in term) for term in ordered])
+    cells = np.arange(2 ** k)[:, None]
+    return ((cells & masks) == masks).astype(float)
 
 
-def logcount_covariance(fit: LoglinearFit, spec: LoglinearSpec) -> np.ndarray:
-    """Asymptotic covariance of the fitted log counts, X (X'WX)^-1 X' with
-    W = diag(fitted).
+def contrast_variances(fit: LoglinearFit, spec: LoglinearSpec, hi, lo) -> np.ndarray:
+    """Asymptotic variances of the fitted log-count contrasts
+    log m[hi] - log m[lo], one per pair of flat C-order cell indices.
 
-    Valid for contrasts whose coefficients sum to zero (log odds-ratios and
-    friends), where the Poisson and multinomial sampling schemes agree.
+    With X the term design, W = diag(fitted) and D = X[hi] - X[lo], the
+    variances are the diagonal of D (X'WX)^-1 D', computed without forming
+    the cells-by-cells covariance X (X'WX)^-1 X'.  The contrasts sum to
+    zero, where the Poisson and multinomial sampling schemes agree.  A
+    contrast that touches a fitted zero has an undefined log and gives NaN;
+    the others stay estimable from the positive cells, for which a
+    pseudo-inverse of a singular X'WX is as good as the inverse.
     """
+    hi, lo = np.asarray(hi), np.asarray(lo)
     X = term_design(spec.schema, spec.generators)
     w = fit.fitted.counts.ravel()
     info = X.T @ (X * w[:, None])
-    return X @ np.linalg.solve(info, X.T)
+    D = X[hi] - X[lo]
+    var = np.sum(D * np.linalg.lstsq(info, D.T, rcond=None)[0].T, axis=1)
+    var[(w[hi] == 0) | (w[lo] == 0)] = np.nan
+    return var

@@ -30,7 +30,7 @@ from .loglinear import (
     LoglinearFit,
     LoglinearSpec,
     fit_ipf,
-    logcount_covariance,
+    contrast_variances,
     independence_test,
 )
 from .graphs import IndependenceStatement
@@ -104,54 +104,58 @@ class SmoothedEstimates:
     def regressors(self) -> tuple[str, ...]:
         return self.model.case_spec.schema.variables
 
+    def _axis_order(self, schema: Schema, factor: str, given) -> list[int]:
+        """Axes of ``factor`` and then of ``given`` in ``schema``, after
+        checking that ``given`` lists every other regressor once."""
+        given = tuple(given)
+        if factor not in self.regressors:
+            raise DataError(f"factor {factor!r} is not a regressor of the model")
+        expect = set(self.regressors) - {factor}
+        if len(given) != len(expect) or set(given) != expect:
+            raise DataError(f"conditioning set must be exactly {sorted(expect)}")
+        return [schema.axis(v) for v in (factor, *given)]
+
     def odds_ratios(self, factor: str, given) -> dict:
         """Smoothed odds-ratios of (indicator, factor) per ``given`` stratum.
 
         ``given`` must list the remaining regressors (any order); keys are
         their level tuples.  Ratios with an empty denominator are None.
         """
-        given = tuple(given)
-        expect = set(self.regressors) - {factor}
-        if set(given) != expect or factor not in self.regressors:
-            raise DataError(f"conditioning set must be exactly {sorted(expect)}")
-        out = {}
-        for levels in itertools.product((0, 1), repeat=len(given)):
-            at = dict(zip(given, levels))
-            tt = measures.two_by_two(self.fitted_joint, self.indicator, factor, given=at)
-            out[levels] = measures.odds_ratio(tt)
-        return out
+        joint = self.fitted_joint
+        order = [joint.schema.axis(self.indicator),
+                 *self._axis_order(joint.schema, factor, given)]
+        # m[response, factor, stratum], strata in C order of ``given``
+        m = np.moveaxis(joint.counts, order, range(len(order))).reshape(2, 2, -1)
+        denom = m[0, 1] * m[1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (m[1, 1] * m[0, 0]) / denom
+        values = [None if d == 0 else r for r, d in zip(ratio.tolist(), denom.tolist())]
+        return dict(zip(_strata(len(order) - 2), values))
 
     def odds_ratio_ses(self, factor: str, given) -> dict:
         """Delta-method standard errors of the smoothed log odds-ratios.
 
-        The log odds-ratio splits into one two-cell contrast per slice;
-        each contrast's variance comes from the covariance of that slice's
-        fitted log counts, and the slices are independent samples so the
-        variances add.
+        The log odds-ratio splits into one two-cell contrast per slice,
+        log m[factor=1] - log m[factor=0] within the stratum; the slices
+        are independent samples, so the contrast variances add.  A stratum
+        whose contrast touches a fitted zero in either slice is None.
         """
-        given = tuple(given)
-        expect = set(self.regressors) - {factor}
-        if set(given) != expect or factor not in self.regressors:
-            raise DataError(f"conditioning set must be exactly {sorted(expect)}")
         schema = self.model.case_spec.schema
-        cov_case = logcount_covariance(self.case_fit, self.model.case_spec)
-        cov_control = logcount_covariance(self.control_fit, self.model.control_spec)
+        axes = self._axis_order(schema, factor, given)
         k = len(schema)
-        strides = [2 ** (k - 1 - i) for i in range(k)]
+        strides = 1 << (k - 1 - np.array(axes))
+        keys = _strata(k - 1)
+        lo = np.array(keys, dtype=np.int64).reshape(len(keys), k - 1) @ strides[1:]
+        hi = lo + strides[0]
+        var = (contrast_variances(self.case_fit, self.model.case_spec, hi, lo)
+               + contrast_variances(self.control_fit, self.model.control_spec, hi, lo))
+        ses = [None if math.isnan(v) else math.sqrt(v) for v in var.tolist()]
+        return dict(zip(keys, ses))
 
-        def flat_index(at: dict) -> int:
-            return sum(strides[schema.axis(v)] * lvl for v, lvl in at.items())
 
-        out = {}
-        for levels in itertools.product((0, 1), repeat=len(given)):
-            at = dict(zip(given, levels))
-            hi = flat_index({**at, factor: 1})
-            lo = flat_index({**at, factor: 0})
-            c = np.zeros(2 ** k)
-            c[hi], c[lo] = 1.0, -1.0
-            var = float(c @ cov_case @ c) + float(c @ cov_control @ c)
-            out[levels] = math.sqrt(var)
-        return out
+def _strata(n: int) -> list[tuple[int, ...]]:
+    """Level tuples of ``n`` binary variables in C order."""
+    return list(itertools.product((0, 1), repeat=n))
 
 
 def smooth(observed: ContingencyTable, m: CaseControlModel,

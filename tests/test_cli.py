@@ -98,6 +98,29 @@ def test_smooth_command(capsys):
     assert payload["smoothed_odds_ratios"][key]["or"] == pytest.approx(4.7, abs=0.05)
 
 
+def test_smooth_fitted_zero_renders_dash(study, tmp_path, capsys):
+    # zero case cell under a saturated case spec: that stratum's SE is
+    # undefined, shown as '-' (null in JSON), not a traceback
+    t = study.marginalize({"L", "V", "C", "R"})
+    counts = t.counts.copy()
+    counts[1, 1, 1, 1] = 0.0
+    path = tmp_path / "zero.csv"
+    path.write_text(casecontrol.emit(casecontrol.ContingencyTable(t.schema, counts)),
+                    encoding="utf-8")
+    argv = ("smooth", "--data", str(path), "--case", "V,C,R", "--control", "V,C;R",
+            "--or-factor", "V")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in err
+    lines = {line.split()[0]: line for line in out.splitlines()[3:]}
+    assert lines["C=1,R=1"].endswith("(se of log: -)")
+    assert "(se of log: -)" not in lines["C=0,R=0"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    strata = json.loads(out)["smoothed_odds_ratios"]
+    assert strata["C=1,R=1"]["log_or_se"] is None
+    assert strata["C=0,R=1"]["log_or_se"] > 0
+
+
 def test_select_command(capsys):
     code, out, _ = run(capsys, "select", "--slice", "L=1", "--alpha", "0.2",
                        "--format", "json")

@@ -276,3 +276,26 @@ def test_fitted_ors_reject_varying_stratum(study):
         fitted_odds_ratios(fit, ("L", "V"), ())
     with pytest.raises(DataError, match="factor"):
         fitted_odds_ratios(fit, ("L", "S"), ())
+
+
+def test_irls_converges_through_loglik_rounding(study, monkeypatch):
+    # Near the optimum a Newton step gains less than the rounding of a
+    # log-likelihood of magnitude 1e5.  Make every evaluation come out a
+    # few ulps of |ll| lower than the one before (adverse rounding): step
+    # halving must not take that for a decrease, or IRLS stalls at max_iter.
+    from casecontrol import logit
+
+    exact = logit._binomial_loglik
+    calls = []
+
+    def rounded(y, n, eta):
+        ll = exact(y, n, eta)
+        calls.append(ll)
+        return ll - 4 * len(calls) * np.spacing(abs(ll))
+
+    monkeypatch.setattr(logit, "_binomial_loglik", rounded)
+    big = type(study)(study.schema, study.counts * 1000.0)
+    fit = fit_logit(big, parse_formula("L : V*C*R + A*E"))
+    assert min(abs(ll) for ll in calls) > 1e5
+    assert fit.converged
+    assert fit.iterations < 20

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casecontrol import (
     CaseControlModel,
+    ContingencyTable,
     DataError,
+    Schema,
     check_or_collapsibility,
     check_rr_collapsibility,
     from_cells,
@@ -17,6 +21,7 @@ from casecontrol import (
     smooth,
     two_by_two,
 )
+from casecontrol.loglinear import term_design
 
 SMOOTHED_ORS = {(0, 0): 4.7, (1, 0): 15.1, (0, 1): 12.1, (1, 1): 5.4}
 
@@ -155,6 +160,172 @@ def test_fitted_exposure_rates_stable_over_age_and_education(study, model6):
 def test_smooth_requires_indicator(study, model6):
     with pytest.raises(DataError, match="unknown variable"):
         smooth(study, model6, indicator="Z")
+
+
+# -- smoothed odds-ratio standard errors --------------------------------------------
+
+def _with_cells(t, at, value):
+    counts = t.counts.copy()
+    counts[tuple(at[v] for v in t.variables)] = value
+    return ContingencyTable(t.schema, counts)
+
+
+def test_contrast_touching_fitted_zero_is_none(lvcr):
+    # a zero case cell under the saturated case spec is a fitted zero; its
+    # stratum's log odds-ratio is undefined, the others still estimable
+    t = _with_cells(lvcr, {"L": 1, "V": 1, "C": 1, "R": 1}, 0.0)
+    model = CaseControlModel.from_generators(
+        t, case_generators=[("V", "C", "R")], control_generators=[("V", "C"), ("R",)])
+    est = smooth(t, model)
+    cases = t.slice_l("L", 1)
+    controls = t.slice_l("L", 0).marginalize({"V", "C"})
+    for rest in (("C", "R"), ("R", "C")):
+        ses = est.odds_ratio_ses("V", rest)
+        for levels, se in ses.items():
+            at = dict(zip(rest, levels))
+            if at == {"C": 1, "R": 1}:
+                assert se is None
+                continue
+            var = sum(1.0 / cases.cell({**at, "V": v})
+                      + 1.0 / controls.cell({"V": v, "C": at["C"]}) for v in (0, 1))
+            assert se == pytest.approx(math.sqrt(var), rel=1e-9)
+    ses = est.odds_ratio_ses("C", ("R", "V"))
+    assert ses[(1, 1)] is None
+    assert all(se is not None for key, se in ses.items() if key != (1, 1))
+
+
+def test_all_zero_stratum_gives_none(lvcr):
+    t = lvcr
+    for lv, v in itertools.product((0, 1), repeat=2):
+        t = _with_cells(t, {"L": lv, "V": v, "C": 1, "R": 1}, 0.0)
+    model = CaseControlModel.from_generators(
+        t, case_generators=[("V", "C", "R")], control_generators=[("V", "C", "R")])
+    est = smooth(t, model)
+    ors = est.odds_ratios("V", ("C", "R"))
+    ses = est.odds_ratio_ses("V", ("C", "R"))
+    assert ors[(1, 1)] is None and ses[(1, 1)] is None
+    for (c, r) in ((0, 0), (0, 1), (1, 0)):
+        tt = two_by_two(t, "L", "V", given={"C": c, "R": r})
+        assert ors[(c, r)] == odds_ratio(tt)
+        # both slices saturated: the delta-method SE is the reciprocal-sum one
+        assert ses[(c, r)] == pytest.approx(log_or_se(tt), rel=1e-9)
+
+
+def test_odds_ratio_arguments_are_checked(lvcr, model4):
+    est = smooth(lvcr, model4)
+    for method in (est.odds_ratios, est.odds_ratio_ses):
+        with pytest.raises(DataError, match="factor 'Z'"):
+            method("Z", ("V", "C", "R"))
+        with pytest.raises(DataError, match="conditioning set"):
+            method("V", ("C",))
+        with pytest.raises(DataError, match="conditioning set"):
+            method("V", ("C", "C", "R"))
+
+
+def _loop_term_design(schema, generators):
+    """The hierarchical design built cell by cell: the reference layout."""
+    subsets = {()}
+    for g in generators:
+        g = tuple(sorted(g, key=schema.axis))
+        for r in range(1, len(g) + 1):
+            subsets.update(itertools.combinations(g, r))
+    ordered = sorted(subsets, key=lambda s: (len(s), tuple(schema.axis(v) for v in s)))
+    cells = list(itertools.product((0, 1), repeat=len(schema)))
+    X = np.ones((len(cells), len(ordered)))
+    for j, term in enumerate(ordered):
+        axes = [schema.axis(v) for v in term]
+        for i, cell in enumerate(cells):
+            X[i, j] = float(all(cell[ax] == 1 for ax in axes))
+    return X
+
+
+def _dense_ses(est, factor, rest):
+    """Reference SEs: quadratic forms c' X (X'WX)^-1 X' c against each
+    slice's full cells-by-cells covariance of fitted log counts."""
+    schema = est.model.case_spec.schema
+    covs = []
+    for fit, spec in ((est.case_fit, est.model.case_spec),
+                      (est.control_fit, est.model.control_spec)):
+        X = _loop_term_design(spec.schema, spec.generators)
+        w = fit.fitted.counts.ravel()
+        covs.append(X @ np.linalg.solve(X.T @ (X * w[:, None]), X.T))
+    k = len(schema)
+
+    def flat(at):
+        return sum(2 ** (k - 1 - schema.axis(v)) * lvl for v, lvl in at.items())
+
+    out = {}
+    for levels in itertools.product((0, 1), repeat=len(rest)):
+        at = dict(zip(rest, levels))
+        c = np.zeros(2 ** k)
+        c[flat({**at, factor: 1})], c[flat({**at, factor: 0})] = 1.0, -1.0
+        out[levels] = math.sqrt(sum(float(c @ cov @ c) for cov in covs))
+    return out
+
+
+@st.composite
+def generating_classes(draw, regs):
+    """A chordless cycle (not decomposable) plus main effects, or cliques
+    added in running-intersection order (decomposable)."""
+    order = draw(st.permutations(regs))
+    if draw(st.booleans()):
+        size = draw(st.integers(3, len(regs)))
+        return [(order[i], order[(i + 1) % size]) for i in range(size)] + [(v,) for v in regs]
+    gens = [(order[0],)]
+    for v in order[1:]:
+        base = draw(st.sampled_from(gens))
+        keep = draw(st.lists(st.sampled_from(base), max_size=2, unique=True))
+        gens.append((*keep, v))
+    return gens
+
+
+@st.composite
+def smoothing_problems(draw):
+    k = draw(st.integers(3, 7))
+    regs = tuple(f"X{i}" for i in range(1, k + 1))
+    variables = list(regs)
+    variables.insert(draw(st.integers(0, k)), "L")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(1, 40, size=(2,) * (k + 1)).astype(float)
+    t = ContingencyTable(Schema(tuple(variables)), counts)
+    model = CaseControlModel.from_generators(
+        t, draw(generating_classes(regs)), draw(generating_classes(regs)))
+    factor = draw(st.sampled_from(regs))
+    rest = tuple(draw(st.permutations([v for v in regs if v != factor])))
+    return t, model, factor, rest
+
+
+@settings(max_examples=40, deadline=None)
+@given(smoothing_problems())
+def test_smoothed_ses_match_dense_covariance(problem):
+    t, model, factor, rest = problem
+    est = smooth(t, model)
+    ses = est.odds_ratio_ses(factor, rest)
+    reference = _dense_ses(est, factor, rest)
+    assert list(ses) == list(reference)
+    for key, value in reference.items():
+        assert ses[key] == pytest.approx(value, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(smoothing_problems())
+def test_term_design_matches_cell_loop(problem):
+    _, model, _, _ = problem
+    for spec in (model.case_spec, model.control_spec):
+        X = term_design(spec.schema, spec.generators)
+        assert np.array_equal(X, _loop_term_design(spec.schema, spec.generators))
+
+
+@settings(max_examples=40, deadline=None)
+@given(smoothing_problems())
+def test_smoothed_odds_ratios_match_two_by_two(problem):
+    t, model, factor, rest = problem
+    est = smooth(t, model)
+    ors = est.odds_ratios(factor, rest)
+    assert list(ors) == list(itertools.product((0, 1), repeat=len(rest)))
+    for levels, value in ors.items():
+        tt = two_by_two(est.fitted_joint, "L", factor, given=dict(zip(rest, levels)))
+        assert value == odds_ratio(tt)
 
 
 # -- odds-ratio collapsibility -------------------------------------------------
