@@ -99,6 +99,13 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return names
 
 
+def _parse_pair(text: str) -> tuple[str, str]:
+    names = _parse_names(text)
+    if len(names) != 2:
+        raise UsageError(f"expected two comma-separated names, got {text!r}")
+    return names
+
+
 def _parse_generators(text: str) -> tuple[tuple[str, ...], ...]:
     gens = tuple(_parse_names(part) for part in text.split(";") if part.strip())
     if not gens:
@@ -146,7 +153,7 @@ def cmd_marginal(args) -> int:
 
 def cmd_measure(args) -> int:
     t = _read_table(args)
-    a, b = _parse_names(args.pair)[:2]
+    a, b = _parse_pair(args.pair)
     if args.split:
         given = _parse_names(args.given) if args.given else ()
         rep = smoothing.mixing_artifact_demo(t, (a, b), given, indicator=args.split)
@@ -196,7 +203,12 @@ def cmd_fit_loglinear(args) -> int:
         return 0
     if args.model:
         spec_payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
-        gens = tuple(tuple(g) for g in spec_payload["generators"])
+        gens = spec_payload.get("generators") if isinstance(spec_payload, dict) else None
+        if not (isinstance(gens, list)
+                and all(isinstance(g, list) and all(isinstance(v, str) for v in g)
+                        for g in gens)):
+            raise tables.DataError("model JSON needs a 'generators' list of variable-name lists")
+        gens = tuple(tuple(g) for g in gens)
     elif args.generators:
         gens = _parse_generators(args.generators)
     else:
@@ -263,7 +275,7 @@ def cmd_fit_logit(args) -> int:
         ],
     }
     if args.or_pair:
-        response, factor = _parse_names(args.or_pair)[:2]
+        response, factor = _parse_pair(args.or_pair)
         given = _parse_names(args.or_given) if args.or_given else tuple(
             v for v in fit.regressors if v != factor)
         ors = logit.fitted_odds_ratios(fit, (response, factor), given)
@@ -329,7 +341,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_select(args) -> int:
     t = _read_table(args)
-    g = loglinear.forward_select(t, alpha=args.alpha, tol=_tol(args))
+    g = loglinear.forward_select(t, alpha=args.alpha, tol=_tol(args), max_iter=_max_iter(args))
     spec = loglinear.clique_spec(t.schema, g)
     fit = loglinear.fit_ipf(t, spec, tol=_tol(args), max_iter=_max_iter(args))
     edges = sorted(f"{a}-{b}" for a, b, _ in g.edges)
@@ -396,7 +408,7 @@ def cmd_graph_check(args) -> int:
 
 def cmd_collapse(args) -> int:
     t = _read_table(args)
-    a, b = _parse_names(args.pair)[:2]
+    a, b = _parse_pair(args.pair)
     check = (smoothing.check_rr_collapsibility if args.measure == "rr"
              else smoothing.check_or_collapsibility)
     rep = check(t, a, b, args.over, alpha=args.alpha)

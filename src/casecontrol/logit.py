@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import chi2_sf
-from .tables import CellAddress, ContingencyTable, DataError
+from .tables import ContingencyTable, DataError, cell_levels, term_columns
 from .measures import TwoByTwo
 
 DEFAULT_TOL = 1e-8
@@ -200,17 +200,23 @@ class LogitFit:
 
 
 def _design(formula: LogitFormula, regressors, cells) -> np.ndarray:
+    """Intercept and term columns at flat C-order indices of the regressor cells."""
     idx = {v: i for i, v in enumerate(regressors)}
     for term in formula.terms:
         for v in term:
             if v not in idx:
                 raise DataError(f"unknown variable {v!r} in formula")
-    X = np.ones((len(cells), formula.n_parameters))
-    for j, term in enumerate(formula.terms, start=1):
-        cols = [idx[v] for v in term]
-        for i, cell in enumerate(cells):
-            X[i, j] = float(all(cell[c] == 1 for c in cols))
-    return X
+    terms = [()] + [tuple(idx[v] for v in term) for term in formula.terms]
+    return term_columns(len(regressors), terms, cells)
+
+
+def _grouped(observed: ContingencyTable, response: str):
+    """Regressors and grouped binomial data (y, n) per regressor cell, the
+    cells in C order of the regressors as they appear in ``observed``."""
+    r_axis = observed.schema.axis(response)
+    regressors = tuple(v for v in observed.variables if v != response)
+    pairs = np.moveaxis(observed.counts, r_axis, -1).reshape(-1, 2)
+    return regressors, pairs[:, 1], pairs[:, 0] + pairs[:, 1]
 
 
 def _binomial_loglik(y, n, eta):
@@ -225,28 +231,20 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
 
     IRLS from a zero start with step halving on likelihood decrease.
     Convergence requires the largest score component below ``tol`` and a
-    relative deviance change below 1e-10.  Divergence or an exhausted
-    iteration budget returns ``converged=False`` with a diagnostic message.
+    relative deviance change below 1e-10.  Divergence, a step that 30
+    halvings leave below the current log-likelihood (the fit keeps the
+    coefficients it had) or an exhausted iteration budget returns
+    ``converged=False`` with a diagnostic message.
     Regressor cells with no observations are dropped from the likelihood
     and from the saturated-model cell count.
     """
-    observed.schema.axis(f.response)
-    regressors = tuple(v for v in observed.variables if v != f.response)
+    regressors, y, n = _grouped(observed, f.response)
     if not regressors:
         raise DataError("no regressor variables in the table")
+    occupied = np.flatnonzero(n > 0)
+    y, n = y[occupied], n[occupied]
 
-    all_cells = list(itertools.product((0, 1), repeat=len(regressors)))
-    y_all, n_all = [], []
-    for cell in all_cells:
-        at = dict(zip(regressors, cell))
-        y_all.append(observed.cell({**at, f.response: 1}))
-        n_all.append(observed.cell({**at, f.response: 0}) + y_all[-1])
-    occupied = [i for i, n in enumerate(n_all) if n > 0]
-    cells = [all_cells[i] for i in occupied]
-    y = np.array([y_all[i] for i in occupied])
-    n = np.array([n_all[i] for i in occupied])
-
-    X = _design(f, regressors, cells)
+    X = _design(f, regressors, occupied)
     if X.shape[0] < X.shape[1]:
         raise DataError("more model terms than occupied regressor cells")
 
@@ -276,6 +274,10 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
             if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
                 break
             scale *= 0.5
+        else:
+            # every halving lowered the log-likelihood: keep beta and stop
+            message = "step halving failed to increase the log-likelihood"
+            break
         delta_ll = cand_ll - loglik
         beta, loglik = candidate, cand_ll
         if not np.all(np.isfinite(beta)):
@@ -324,8 +326,8 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         se=se,
         z_obs=z,
         deviance_vs_saturated=dev,
-        df=len(cells) - X.shape[1],
-        fitted_probabilities={cell: float(pi) for cell, pi in zip(cells, p)},
+        df=len(occupied) - X.shape[1],
+        fitted_probabilities=dict(zip(cell_levels(occupied, len(regressors)), p.tolist())),
         converged=converged,
         iterations=iterations,
         message=message,
@@ -337,27 +339,22 @@ def score_residuals(observed: ContingencyTable, fit: LogitFit) -> np.ndarray:
 
     Zero (to within convergence tolerance) at the maximum; exposed for the
     score-equation checks in the test suite."""
-    regressors = fit.regressors
-    cells = sorted(fit.fitted_probabilities)
-    y = np.array([observed.cell({**dict(zip(regressors, c)), fit.formula.response: 1})
-                  for c in cells])
-    n = np.array([observed.cell({**dict(zip(regressors, c)), fit.formula.response: 0})
-                  for c in cells]) + y
+    regressors, y, n = _grouped(observed, fit.formula.response)
+    levels = sorted(fit.fitted_probabilities)
+    k = len(regressors)
+    weights = [1 << (k - 1 - regressors.index(v)) for v in fit.regressors]
+    cells = np.array(levels, dtype=np.int64).reshape(-1, k) @ weights
     X = _design(fit.formula, regressors, cells)
-    p = np.array([fit.fitted_probabilities[c] for c in cells])
-    return X.T @ (y - n * p)
+    p = np.array([fit.fitted_probabilities[c] for c in levels])
+    return X.T @ (y[cells] - n[cells] * p)
 
 
 def loglik_and_gradient(observed: ContingencyTable, f: LogitFormula,
                         beta: np.ndarray) -> tuple[float, np.ndarray]:
     """Grouped-binomial log-likelihood (up to constants) and its gradient at
     an arbitrary coefficient vector, for derivative checks."""
-    observed.schema.axis(f.response)
-    regressors = tuple(v for v in observed.variables if v != f.response)
-    cells = [c for c in itertools.product((0, 1), repeat=len(regressors))]
-    y = np.array([observed.cell({**dict(zip(regressors, c)), f.response: 1}) for c in cells])
-    n = np.array([observed.cell({**dict(zip(regressors, c)), f.response: 0}) for c in cells]) + y
-    X = _design(f, regressors, cells)
+    regressors, y, n = _grouped(observed, f.response)
+    X = _design(f, regressors, np.arange(len(y)))
     beta = np.asarray(beta, dtype=float)
     eta = X @ beta
     p = 1.0 / (1.0 + np.exp(-eta))

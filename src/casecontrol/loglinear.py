@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graphs
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, Schema
+from .tables import ContingencyTable, DataError, Schema, term_columns
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -268,16 +268,17 @@ def clique_spec(schema: Schema, graph: graphs.MixedGraph) -> LoglinearSpec:
     return LoglinearSpec(schema, tuple(graphs.cliques(graph)))
 
 
-def forward_select(observed: ContingencyTable, alpha: float,
-                   tol: float = DEFAULT_TOL) -> graphs.MixedGraph:
+def forward_select(observed: ContingencyTable, alpha: float, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> graphs.MixedGraph:
     """Greedy forward selection within the class of concentration graphs.
 
     Starts from the edgeless graph; at each round fits every single-edge
     extension via the cliques of the candidate graph and adds the edge with
     the smallest deviance-difference p-value, provided it is below ``alpha``.
-    Ties break on the lexicographically smallest edge.  Candidate
-    evaluations are independent, so the loop is trivially parallelizable;
-    the reduction order used here is deterministic either way.
+    Ties break on the lexicographically smallest edge.  ``tol`` and
+    ``max_iter`` apply to every candidate fit.  Candidate evaluations are
+    independent, so the loop is trivially parallelizable; the reduction
+    order used here is deterministic either way.
     """
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
@@ -286,7 +287,7 @@ def forward_select(observed: ContingencyTable, alpha: float,
 
     def fit_for(edge_set):
         g = graphs.full_line_graph(nodes, edge_set)
-        fit = fit_ipf(observed, clique_spec(observed.schema, g), tol=tol)
+        fit = fit_ipf(observed, clique_spec(observed.schema, g), tol=tol, max_iter=max_iter)
         return fit.deviance, fit.df
 
     current_dev, current_df = fit_for(edges)
@@ -316,19 +317,16 @@ def term_design(schema: Schema, generators) -> np.ndarray:
     lexicographic order, one dummy-coded column per distinct generator
     subset (a column of ones for the empty set).
 
-    Cell i has variable v at level 1 when bit ``k - 1 - axis(v)`` of i is
-    set, so a term's column is ``(i & mask) == mask`` for the term's mask.
+    Columns are bit masks of the flat cell index (``tables.term_columns``).
     """
     subsets = {()}
     for g in generators:
         g = tuple(sorted(g, key=schema.axis))
         for r in range(1, len(g) + 1):
             subsets.update(itertools.combinations(g, r))
-    ordered = sorted(subsets, key=lambda s: (len(s), tuple(schema.axis(v) for v in s)))
-    k = len(schema)
-    masks = np.array([sum(1 << (k - 1 - schema.axis(v)) for v in term) for term in ordered])
-    cells = np.arange(2 ** k)[:, None]
-    return ((cells & masks) == masks).astype(float)
+    terms = sorted((tuple(schema.axis(v) for v in s) for s in subsets),
+                   key=lambda t: (len(t), t))
+    return term_columns(len(schema), terms, np.arange(2 ** len(schema)))
 
 
 def contrast_variances(fit: LoglinearFit, spec: LoglinearSpec, hi, lo) -> np.ndarray:

@@ -231,8 +231,8 @@ class CollapsibilityReport:
         }
 
 
-def _condition_test(t: ContingencyTable, a: str, b: str, c: str) -> dict:
-    stmt = IndependenceStatement(frozenset({a}), frozenset({b}), frozenset({c}))
+def _condition_test(t: ContingencyTable, a: str, b: str, *given: str) -> dict:
+    stmt = IndependenceStatement(frozenset({a}), frozenset({b}), frozenset(given))
     dev, df = independence_test(t, stmt)
     return {"statement": str(stmt), "deviance": dev, "df": df,
             "p": chi2_sf(dev, df) if df > 0 else 1.0}
@@ -242,6 +242,29 @@ def _close(x, y, rel_tol):
     if x is None or y is None:
         return False
     return math.isclose(x, y, rel_tol=rel_tol, abs_tol=rel_tol)
+
+
+def _report(measure: str, pair: tuple[str, str], over: str, conditional: dict,
+            marginal, tests: dict, conditions: tuple[str, str], rel_tol: float,
+            alpha: float | None) -> CollapsibilityReport:
+    """Verdict shared by the collapsibility checks: which of the two
+    sufficient ``conditions`` hold (exactly, or as tests at ``alpha``) and
+    whether conditional and marginal measures agree within ``rel_tol``."""
+
+    def holds(test):
+        if alpha is None:
+            return test["deviance"] <= rel_tol
+        return test["p"] > alpha
+
+    held = [name for name in conditions if holds(tests[name])]
+    which = "both" if len(held) == 2 else (held[0] if held else "neither")
+    collapsible = (_close(conditional[0], conditional[1], rel_tol)
+                   and _close(conditional[0], marginal, rel_tol))
+    return CollapsibilityReport(
+        measure=measure, pair=pair, over=over,
+        conditional=conditional, marginal=marginal,
+        collapsible=collapsible, which_condition=which, condition_tests=tests,
+    )
 
 
 def check_or_collapsibility(t: ContingencyTable, a: str, b: str, over: str,
@@ -262,26 +285,10 @@ def check_or_collapsibility(t: ContingencyTable, a: str, b: str, over: str,
         for lvl in (0, 1)
     }
     marginal = measures.odds_ratio(measures.two_by_two(m, a, b))
-    tests = {
-        "a_indep_over_given_b": _condition_test(m, a, over, b),
-        "b_indep_over_given_a": _condition_test(m, b, over, a),
-    }
-
-    def holds(test):
-        if alpha is None:
-            return test["deviance"] <= rel_tol
-        return test["p"] > alpha
-
-    held = [name for name in ("a_indep_over_given_b", "b_indep_over_given_a")
-            if holds(tests[name])]
-    which = "both" if len(held) == 2 else (held[0] if held else "neither")
-    collapsible = (_close(conditional[0], conditional[1], rel_tol)
-                   and _close(conditional[0], marginal, rel_tol))
-    return CollapsibilityReport(
-        measure="odds_ratio", pair=(a, b), over=over,
-        conditional=conditional, marginal=marginal,
-        collapsible=collapsible, which_condition=which, condition_tests=tests,
-    )
+    conditions = ("a_indep_over_given_b", "b_indep_over_given_a")
+    tests = dict(zip(conditions, (_condition_test(m, a, over, b), _condition_test(m, b, over, a))))
+    return _report("odds_ratio", (a, b), over, conditional, marginal, tests, conditions,
+                   rel_tol, alpha)
 
 
 def check_rr_collapsibility(t: ContingencyTable, a: str, b: str, over: str,
@@ -302,14 +309,8 @@ def check_rr_collapsibility(t: ContingencyTable, a: str, b: str, over: str,
         for lvl in (0, 1)
     }
     marginal = measures.relative_risk(measures.two_by_two(m, a, b))
-    b_over = m.marginalize({b, over})
-    stmt = IndependenceStatement(frozenset({b}), frozenset({over}))
-    dev, df = independence_test(b_over, stmt)
-    tests = {
-        "a_indep_over_given_b": _condition_test(m, a, over, b),
-        "b_indep_over": {"statement": str(stmt), "deviance": dev, "df": df,
-                         "p": chi2_sf(dev, df) if df > 0 else 1.0},
-    }
+    conditions = ("a_indep_over_given_b", "b_indep_over")
+    tests = dict(zip(conditions, (_condition_test(m, a, over, b), _condition_test(m, b, over))))
     weights = measures.rr_mixture_weights(m, a, b, over)
     residual = None
     if weights is not None and None not in conditional.values() and marginal is not None:
@@ -318,22 +319,8 @@ def check_rr_collapsibility(t: ContingencyTable, a: str, b: str, over: str,
             mixture = (alpha_w * conditional[1] + beta_w * conditional[0]) / (alpha_w + beta_w)
             residual = mixture - marginal
     tests["mixture_identity_residual"] = residual
-
-    def holds(test):
-        if alpha is None:
-            return test["deviance"] <= rel_tol
-        return test["p"] > alpha
-
-    held = [name for name in ("a_indep_over_given_b", "b_indep_over")
-            if holds(tests[name])]
-    which = "both" if len(held) == 2 else (held[0] if held else "neither")
-    collapsible = (_close(conditional[0], conditional[1], rel_tol)
-                   and _close(conditional[0], marginal, rel_tol))
-    return CollapsibilityReport(
-        measure="relative_risk", pair=(a, b), over=over,
-        conditional=conditional, marginal=marginal,
-        collapsible=collapsible, which_condition=which, condition_tests=tests,
-    )
+    return _report("relative_risk", (a, b), over, conditional, marginal, tests, conditions,
+                   rel_tol, alpha)
 
 
 # -- sample-mixing artifact ---------------------------------------------------

@@ -4,7 +4,10 @@ A table is a k-dimensional array of nonnegative real counts, one axis per
 variable, with levels 0 and 1.  Counts are reals, not integers: fitted
 tables produced by the model modules flow through the same type.  Flattened
 in C order, the cells are in lexicographic order of the level combinations,
-with the first schema variable as the most significant digit.
+with the first schema variable as the most significant digit: in cell i of
+a k-variable table, the variable on axis a is at level 1 when bit k - 1 - a
+of i is set.  Design columns of the model modules are bit masks of that
+index (``term_columns``).
 
 All operations are pure: they return new tables and never mutate inputs,
 so concurrent use needs no locking.
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -112,9 +117,9 @@ class ContingencyTable:
         return self.schema.variables
 
     def cells(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """Yield (levels, count) in lexicographic order."""
-        for levels in np.ndindex(*self.counts.shape):
-            yield levels, float(self.counts[levels])
+        """(levels, count) pairs in lexicographic order."""
+        return zip(itertools.product((0, 1), repeat=self.counts.ndim),
+                   self.counts.ravel().tolist())
 
     def _resolve(self, at: CellAddress) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -171,6 +176,26 @@ class ContingencyTable:
         return self.condition({name: level})
 
 
+def cell_levels(cells, k: int) -> list[tuple[int, ...]]:
+    """Level tuples of flat C-order cell indices of a ``k``-variable table."""
+    levels = list(itertools.product((0, 1), repeat=k))
+    return [levels[i] for i in np.asarray(cells).tolist()]
+
+
+def term_columns(k: int, terms, cells) -> np.ndarray:
+    """Dummy-coded design columns over flat C-order cell indices.
+
+    ``terms`` lists each term as a tuple of axes of a ``k``-variable table;
+    a term's column is 1 at the cells where all its variables are at level
+    1.  With the term's mask the sum of ``1 << (k - 1 - axis)``, that is
+    ``(cell & mask) == mask``; the empty term is a column of ones.
+    """
+    masks = np.array([sum(1 << (k - 1 - axis) for axis in term) for term in terms],
+                     dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)[:, None]
+    return ((cells & masks) == masks).astype(float)
+
+
 def from_cells(variables, cells: Mapping[tuple[int, ...], float]) -> ContingencyTable:
     """Build a table from a {levels: count} mapping; unlisted cells are 0."""
     schema = Schema(tuple(variables))
@@ -199,31 +224,33 @@ def ingest(cells_text: str) -> ContingencyTable:
     if "count" in names:
         raise DataError("'count' is reserved for the count column")
     schema = Schema(names)
-    arr = np.zeros((2,) * len(names))
-    seen: set[tuple[int, ...]] = set()
+    k = len(names)
+    level_of = {label: level for level, label in enumerate(LEVELS)}
+    arr = np.zeros(2 ** k)
+    seen = bytearray(2 ** k)
     n_rows = 0
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) != len(header):
             raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        levels = []
+        flat = 0
         for name, label in zip(names, row):
-            label = label.strip()
-            if label not in LEVELS:
-                raise DataError(f"line {lineno}: unknown level {label!r} for {name!r}")
-            levels.append(int(label))
-        key = tuple(levels)
-        if key in seen:
+            level = level_of.get(label.strip())
+            if level is None:
+                raise DataError(f"line {lineno}: unknown level {label.strip()!r} for {name!r}")
+            flat = 2 * flat + level
+        if seen[flat]:
+            key = tuple((flat >> (k - 1 - axis)) & 1 for axis in range(k))
             raise DataError(f"line {lineno}: duplicate cell address {key}")
-        seen.add(key)
+        seen[flat] = 1
         try:
             count = float(row[-1])
         except ValueError:
             raise DataError(f"line {lineno}: bad count {row[-1]!r}") from None
-        if not np.isfinite(count) or count < 0:
+        if not math.isfinite(count) or count < 0:
             raise DataError(f"line {lineno}: negative or non-finite count {count}")
-        arr[key] = count
+        arr[flat] = count
         n_rows += 1
     if n_rows == 0:
         raise DataError("no data rows")
@@ -239,6 +266,7 @@ def emit(table: ContingencyTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(table.variables) + ["count"])
-    for levels, count in table.cells():
-        writer.writerow([LEVELS[l] for l in levels] + [format(count, ".17g")])
+    labels = itertools.product(LEVELS, repeat=len(table.variables))
+    writer.writerows([*levels, format(count, ".17g")]
+                     for levels, count in zip(labels, table.counts.ravel().tolist()))
     return out.getvalue()

@@ -265,3 +265,49 @@ def test_registry_covers_every_subcommand():
     parser = build_parser()
     sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
     assert set(sub.choices) == set(COMMAND_OPERATIONS)
+
+
+# -- fail closed: one-name pairs, model files without generators --------------------
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--pair", "L"],
+    ["collapse", "--pair", "L", "--over", "A"],
+    ["fit-logit", "--formula", "L : V", "--or-pair", "L"],
+    ["measure", "--pair", "L,V,C"],
+])
+def test_pair_needs_two_names(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "two comma-separated names" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [
+    {}, {"generators": "V,C"}, {"generators": [["V", "C"], "R"]}, [["V", "C"]],
+])
+def test_model_file_without_generator_list(tmp_path, capsys, payload):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "fit-loglinear", "--model", str(path))
+    assert code == 1
+    assert err.startswith("error: model JSON needs a 'generators' list")
+    assert "Traceback" not in err
+
+
+def test_select_max_iter_reaches_candidate_fits(capsys, monkeypatch):
+    from casecontrol import loglinear
+
+    fit_ipf = loglinear.fit_ipf
+    budgets = []
+
+    def recording(*args, **kwargs):
+        budgets.append(kwargs.get("max_iter"))
+        return fit_ipf(*args, **kwargs)
+
+    monkeypatch.setattr(loglinear, "fit_ipf", recording)
+    code, _, _ = run(capsys, "select", "--max-iter", "1")
+    assert code == 0
+    assert len(budgets) > 1
+    assert set(budgets) == {1}

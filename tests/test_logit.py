@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casecontrol import (
     DataError,
@@ -16,7 +18,10 @@ from casecontrol import (
     parse_formula,
     two_by_two,
 )
+from casecontrol import logit
 from casecontrol.logit import FormulaError, loglik_and_gradient, score_residuals
+
+from conftest import table_strategy
 
 
 # -- formula parsing -------------------------------------------------------------
@@ -283,8 +288,6 @@ def test_irls_converges_through_loglik_rounding(study, monkeypatch):
     # log-likelihood of magnitude 1e5.  Make every evaluation come out a
     # few ulps of |ll| lower than the one before (adverse rounding): step
     # halving must not take that for a decrease, or IRLS stalls at max_iter.
-    from casecontrol import logit
-
     exact = logit._binomial_loglik
     calls = []
 
@@ -299,3 +302,84 @@ def test_irls_converges_through_loglik_rounding(study, monkeypatch):
     assert min(abs(ll) for ll in calls) > 1e5
     assert fit.converged
     assert fit.iterations < 20
+
+
+def test_step_halving_never_accepts_a_rejected_step(study, monkeypatch):
+    # Evaluate the start and the first iteration exactly, then reject every
+    # later candidate: the fit must keep the first iteration's coefficients
+    # and log-likelihood, and say why it stopped.
+    exact = logit._binomial_loglik
+    calls = 0
+    budget = math.inf
+
+    def reject_after_budget(y, n, eta):
+        nonlocal calls
+        calls += 1
+        return exact(y, n, eta) if calls <= budget else -math.inf
+
+    monkeypatch.setattr(logit, "_binomial_loglik", reject_after_budget)
+    f = parse_formula("L : V*C*R + A*E")
+    one_step = fit_logit(study, f, max_iter=1)
+    budget, calls = calls, 0
+    fit = fit_logit(study, f)
+    assert calls == budget + 30
+    assert not fit.converged
+    assert fit.iterations == 2
+    assert fit.message == "step halving failed to increase the log-likelihood"
+    assert fit.coefficients == one_step.coefficients
+    assert fit.deviance_vs_saturated == one_step.deviance_vs_saturated
+
+
+# -- the flat cell index ---------------------------------------------------------------
+
+def per_cell_design(formula, regressors, cells):
+    """Dummy-coded design built one cell at a time from level tuples."""
+    idx = {v: i for i, v in enumerate(regressors)}
+    X = np.ones((len(cells), formula.n_parameters))
+    for j, term in enumerate(formula.terms, start=1):
+        cols = [idx[v] for v in term]
+        for i, cell in enumerate(cells):
+            X[i, j] = float(all(cell[c] == 1 for c in cols))
+    return X
+
+
+@st.composite
+def formulas(draw):
+    k = draw(st.integers(1, 7))
+    regressors = tuple("ABCDEFG"[:k])
+    products = draw(st.lists(st.lists(st.sampled_from(regressors), min_size=1, max_size=k,
+                                      unique=True).map("*".join), max_size=4))
+    if draw(st.booleans()):
+        group = draw(st.lists(st.sampled_from(regressors), min_size=1, unique=True))
+        products.append(f"({'+'.join(group)})^{draw(st.integers(1, 3))}")
+    return regressors, parse_formula("L : " + " + ".join(products))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=formulas(), data=st.data())
+def test_design_matches_per_cell_loop(drawn, data):
+    regressors, f = drawn
+    k = len(regressors)
+    levels = list(itertools.product((0, 1), repeat=k))
+    cells = data.draw(st.lists(st.integers(0, 2 ** k - 1), unique=True, min_size=1)
+                      .map(sorted))
+    X = logit._design(f, regressors, np.array(cells))
+    assert np.array_equal(X, per_cell_design(f, regressors, [levels[i] for i in cells]))
+    assert np.array_equal(logit._design(f, regressors, np.arange(2 ** k)),
+                          per_cell_design(f, regressors, levels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=table_strategy(min_vars=2, max_vars=5, max_count=3), data=st.data())
+def test_grouped_data_matches_cell_lookups(t, data):
+    response = data.draw(st.sampled_from(t.variables))
+    regressors, y, n = logit._grouped(t, response)
+    assert regressors == tuple(v for v in t.variables if v != response)
+    cells = list(itertools.product((0, 1), repeat=len(regressors)))
+    at = [dict(zip(regressors, c)) for c in cells]
+    y_cell = [t.cell({**a, response: 1}) for a in at]
+    n_cell = [t.cell({**a, response: 0}) + yc for a, yc in zip(at, y_cell)]
+    assert y.tolist() == y_cell
+    assert n.tolist() == n_cell
+    fit = fit_logit(t, parse_formula(f"{response} :"))
+    assert list(fit.fitted_probabilities) == [c for c, nc in zip(cells, n_cell) if nc > 0]

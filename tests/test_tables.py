@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import ContingencyTable, DataError, Schema, emit, from_cells, ingest
+from casecontrol.tables import LEVELS
 from casecontrol.data import bundled_dataset_text
 
 from conftest import table_strategy
@@ -190,3 +191,127 @@ def test_emit_round_trips_real_counts(x):
 def test_emit_is_byte_stable(study):
     assert emit(study) == emit(study)
     assert emit(study) == bundled_dataset_text()
+
+
+# -- the flat cell index against the per-cell ingest and emit -----------------------
+
+def per_cell_ingest(cells_text):
+    """Cell-CSV parser that addresses the table one level tuple at a time."""
+    reader = csv.reader(io.StringIO(cells_text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("no data rows") from None
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[-1] != "count":
+        raise DataError("header must name variables followed by a final 'count' column")
+    names = tuple(header[:-1])
+    if "count" in names:
+        raise DataError("'count' is reserved for the count column")
+    schema = Schema(names)
+    arr = np.zeros((2,) * len(names))
+    seen = set()
+    n_rows = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        levels = []
+        for name, label in zip(names, row):
+            label = label.strip()
+            if label not in LEVELS:
+                raise DataError(f"line {lineno}: unknown level {label!r} for {name!r}")
+            levels.append(int(label))
+        key = tuple(levels)
+        if key in seen:
+            raise DataError(f"line {lineno}: duplicate cell address {key}")
+        seen.add(key)
+        try:
+            count = float(row[-1])
+        except ValueError:
+            raise DataError(f"line {lineno}: bad count {row[-1]!r}") from None
+        if not np.isfinite(count) or count < 0:
+            raise DataError(f"line {lineno}: negative or non-finite count {count}")
+        arr[key] = count
+        n_rows += 1
+    if n_rows == 0:
+        raise DataError("no data rows")
+    return ContingencyTable(schema, arr)
+
+
+def per_cell_emit(table):
+    """Cell-CSV writer that walks the cells with ``np.ndindex``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(table.variables) + ["count"])
+    for levels in np.ndindex(*table.counts.shape):
+        count = float(table.counts[levels])
+        writer.writerow([LEVELS[l] for l in levels] + [format(count, ".17g")])
+    return out.getvalue()
+
+
+@st.composite
+def real_tables(draw):
+    k = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.floats(0, 1e12, allow_nan=False) | st.integers(0, 9).map(float),
+                           min_size=2 ** k, max_size=2 ** k).filter(lambda xs: sum(xs) > 0))
+    return ContingencyTable(Schema(tuple("ABCDE"[:k])), np.array(counts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=real_tables())
+def test_emit_matches_per_cell_emit(t):
+    text = emit(t)
+    assert text == per_cell_emit(t)
+    assert ingest(text) == t
+    assert list(t.cells()) == [(lv, float(t.counts[lv])) for lv in np.ndindex(*t.counts.shape)]
+
+
+def _mutations(rows, k, draw):
+    """One malformed (or merely reshuffled) variant of the data rows."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = list(rows[i])
+    kind = draw(st.sampled_from(
+        ["label", "duplicate", "count", "short", "long", "blank", "padded", "drop"]))
+    if kind == "label":
+        row[draw(st.integers(0, k - 1))] = draw(st.sampled_from(["2", "", " x", "01", "1.0", "-0"]))
+    elif kind == "duplicate":
+        rows = rows + [list(rows[draw(st.integers(0, len(rows) - 1))])]
+    elif kind == "count":
+        row[-1] = draw(st.sampled_from(["-1", "-0.5", "abc", "", "inf", "nan", "-inf", "1e400",
+                                        " 3 ", "-0"]))
+    elif kind == "short":
+        row = row[:-1]
+    elif kind == "long":
+        row = row + ["0"]
+    elif kind == "blank":
+        rows = rows[:i] + [[" "] * (k + 1)] + rows[i:]
+    elif kind == "padded":
+        row[draw(st.integers(0, k - 1))] = f" {row[0]}\t"
+    else:
+        rows = rows[:i] + rows[i + 1:]
+    if kind not in ("duplicate", "blank", "drop"):
+        rows = rows[:i] + [row] + rows[i + 1:]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=real_tables(), data=st.data())
+def test_ingest_matches_per_cell_ingest_on_malformed_rows(t, data):
+    k = len(t.variables)
+    rows = [[*map(str, lv), format(c, ".17g")] for lv, c in t.cells()]
+    rows = data.draw(st.permutations(rows))
+    for _ in range(data.draw(st.integers(1, 3))):
+        rows = _mutations(rows, k, data.draw) if rows else rows
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([[*t.variables, "count"], *rows])
+    text = out.getvalue()
+    try:
+        expected = per_cell_ingest(text)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            ingest(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert ingest(text) == expected
