@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,12 +50,22 @@ class UsageError(Exception):
     pass
 
 
-def _tol(args) -> float:
-    return args.tol if args.tol is not None else loglinear.DEFAULT_TOL
+def _bounded(cast, ok, expected: str):
+    """argparse ``type=``: ``cast`` the text and keep it only when ``ok``,
+    so that a value out of range is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _max_iter(args, default: int = loglinear.DEFAULT_MAX_ITER) -> int:
-    return args.max_iter if args.max_iter is not None else default
+_TOL = _bounded(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_MAX_ITER = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+_ALPHA = _bounded(float, lambda a: 0 < a < 1, "a level in (0, 1)")
 
 
 def _fmt(value, decimals=1):
@@ -127,12 +138,9 @@ def _emit(args, payload: dict, text_lines) -> None:
 def cmd_ingest(args) -> int:
     src = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
     t = tables.ingest(src)
-    if args.format == "json":
-        payload = {"variables": list(t.variables), "total": t.total,
-                   "cells": {"".join(map(str, lv)): c for lv, c in t.cells()}}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(tables.emit(t))
+    _emit(args, {"variables": list(t.variables), "total": t.total,
+                 "cells": {"".join(map(str, lv)): c for lv, c in t.cells()}},
+          [tables.emit(t).removesuffix("\n")])
     return 0
 
 
@@ -141,13 +149,9 @@ def cmd_marginal(args) -> int:
     if args.given:
         t = t.condition(_parse_address(args.given))
     m = t.marginalize(set(_parse_names(args.keep)))
-    if args.format == "json":
-        payload = {"variables": list(m.variables), "total": m.total,
-                   "zero_total": m.zero_total,
-                   "cells": {"".join(map(str, lv)): c for lv, c in m.cells()}}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(tables.emit(m))
+    _emit(args, {"variables": list(m.variables), "total": m.total, "zero_total": m.zero_total,
+                 "cells": {"".join(map(str, lv)): c for lv, c in m.cells()}},
+          [tables.emit(m).removesuffix("\n")])
     return 0
 
 
@@ -203,18 +207,15 @@ def cmd_fit_loglinear(args) -> int:
         return 0
     if args.model:
         spec_payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
-        gens = spec_payload.get("generators") if isinstance(spec_payload, dict) else None
-        if not (isinstance(gens, list)
-                and all(isinstance(g, list) and all(isinstance(v, str) for v in g)
-                        for g in gens)):
-            raise tables.DataError("model JSON needs a 'generators' list of variable-name lists")
-        gens = tuple(tuple(g) for g in gens)
+        gens = tables.json_names(
+            spec_payload.get("generators") if isinstance(spec_payload, dict) else None,
+            "model JSON needs a 'generators' list of variable-name lists", nested=True)
     elif args.generators:
         gens = _parse_generators(args.generators)
     else:
         raise UsageError("need --generators or --model")
     spec = loglinear.LoglinearSpec(t.schema, gens)
-    fit = loglinear.fit_ipf(t, spec, tol=_tol(args), max_iter=_max_iter(args))
+    fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
     payload = {
         "generators": [list(g) for g in spec.generators],
         "deviance": fit.deviance,
@@ -244,8 +245,7 @@ def cmd_fit_loglinear(args) -> int:
 def cmd_fit_logit(args) -> int:
     t = _read_table(args)
     formula = logit.parse_formula(args.formula)
-    fit = logit.fit_logit(t, formula, tol=_tol(args),
-                          max_iter=_max_iter(args, default=logit.DEFAULT_MAX_ITER))
+    fit = logit.fit_logit(t, formula, tol=args.tol, max_iter=args.max_iter)
     single = all(len(v) == 1 for v in fit.regressors)
 
     def disp(term):
@@ -303,7 +303,7 @@ def cmd_smooth(args) -> int:
     else:
         raise UsageError("need --model or both --case and --control")
     est = smoothing.smooth(t, model, indicator=args.response,
-                           tol=_tol(args), max_iter=_max_iter(args))
+                           tol=args.tol, max_iter=args.max_iter)
     payload = {
         "indicator": args.response,
         "case": {"deviance": est.case_fit.deviance, "df": est.case_fit.df,
@@ -341,9 +341,9 @@ def cmd_smooth(args) -> int:
 
 def cmd_select(args) -> int:
     t = _read_table(args)
-    g = loglinear.forward_select(t, alpha=args.alpha, tol=_tol(args), max_iter=_max_iter(args))
+    g = loglinear.forward_select(t, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     spec = loglinear.clique_spec(t.schema, g)
-    fit = loglinear.fit_ipf(t, spec, tol=_tol(args), max_iter=_max_iter(args))
+    fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
     edges = sorted(f"{a}-{b}" for a, b, _ in g.edges)
     payload = {
         "alpha": args.alpha,
@@ -431,8 +431,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    t = _read_table(args) if args.data else None
-    results = reproduce.run_checks(t)
+    results = reproduce.run_checks(_read_table(args))
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps({"checks": [r.to_dict() for r in results],
@@ -454,13 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contingency-table analysis for case-control data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p, data=True, fit=None):
+        # ``fit``: the module whose fitting defaults --tol and --max-iter take
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
         if data:
             p.add_argument("--data", help="cell-CSV path (default: bundled dataset)")
             p.add_argument("--slice", help="condition on an address first, e.g. L=1")
+        if fit:
+            p.add_argument("--tol", type=_TOL, default=fit.DEFAULT_TOL,
+                           help=f"finite and > 0 (default {fit.DEFAULT_TOL:g})")
+            p.add_argument("--max-iter", type=_MAX_ITER, default=fit.DEFAULT_MAX_ITER,
+                           help=f"at least 1 (default {fit.DEFAULT_MAX_ITER})")
 
     p = sub.add_parser("ingest", help="parse and canonicalize a cell-CSV file")
     common(p, data=False)
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("fit-loglinear", help="fit a hierarchical log-linear model by IPF")
-    common(p)
+    common(p, fit=loglinear)
     p.add_argument("--generators", help="semicolon-separated variable lists, e.g. 'V,C;R'")
     p.add_argument("--model", help="model-spec JSON file with a 'generators' entry")
     p.add_argument("--closed-form", action="store_true",
@@ -494,14 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_loglinear)
 
     p = sub.add_parser("fit-logit", help="fit a logit model given a formula")
-    common(p)
+    common(p, fit=logit)
     p.add_argument("--formula", required=True, help="e.g. 'L : V*C*R + A*E'")
     p.add_argument("--or-pair", help="report fitted odds-ratios for response,factor")
     p.add_argument("--or-given", help="conditioning variables for --or-pair")
     p.set_defaults(func=cmd_fit_logit)
 
     p = sub.add_parser("smooth", help="separate case/control fits, recombined")
-    common(p)
+    common(p, fit=loglinear)
     p.add_argument("--model", help="JSON file with case/control generator lists")
     p.add_argument("--case", help="case generators, e.g. 'V,C,R;C,A;E'")
     p.add_argument("--control", help="control generators, e.g. 'V,C;A,E;E,R'")
@@ -512,8 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("select", help="forward selection of a concentration graph")
-    common(p)
-    p.add_argument("--alpha", type=float, default=0.2)
+    common(p, fit=loglinear)
+    p.add_argument("--alpha", type=_ALPHA, default=0.2,
+                   help="entry level of the edge tests, in (0, 1)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("graph-check", help="collision, separation and clique queries")
@@ -532,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="a,b")
     p.add_argument("--over", required=True, help="variable to collapse over")
     p.add_argument("--measure", choices=("or", "rr"), default="or")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="treat the conditions as LR tests at this level")
+    p.add_argument("--alpha", type=_ALPHA, default=None,
+                   help="treat the conditions as LR tests at this level, in (0, 1)")
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("reproduce", help="re-derive all pinned analysis numbers")
@@ -551,7 +555,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.exit(2, f"usage error: {exc}\n")
     except (tables.DataError, graphs.GraphError, logit.FormulaError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

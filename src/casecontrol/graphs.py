@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .tables import json_names
+
 ARROW = "arrow"
 DASHED = "dashed"
 FULL = "full"
@@ -137,19 +139,24 @@ class MixedGraph:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"bad graph JSON: {exc}") from None
-        if "nodes" not in payload or "edges" not in payload:
-            raise GraphError("graph JSON needs 'nodes' and 'edges'")
+        if not (isinstance(payload, dict) and "nodes" in payload
+                and isinstance(payload.get("edges"), list)):
+            raise GraphError("graph JSON needs 'nodes' and an 'edges' list")
         edges = set()
         for e in payload["edges"]:
             try:
-                edges.add((e["a"], e["b"], e.get("kind", FULL)))
+                fields = [e["a"], e["b"], e.get("kind", FULL)]
             except (TypeError, KeyError):
                 raise GraphError(f"bad edge entry {e!r}") from None
-        blocks = payload.get("blocks")
+            edges.add(json_names(fields, f"bad edge entry {e!r}", error=GraphError))
+        blocks = json_names(payload.get("blocks", []),
+                            "graph JSON 'blocks' must be a list of node-name lists",
+                            nested=True, error=GraphError)
         return cls(
-            nodes=tuple(payload["nodes"]),
+            nodes=json_names(payload["nodes"], "graph JSON 'nodes' must be a list of node names",
+                             error=GraphError),
             edges=frozenset(edges),
-            blocks=tuple(tuple(b) for b in blocks) if blocks else None,
+            blocks=blocks or None,
         )
 
 

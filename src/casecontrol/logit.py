@@ -25,7 +25,7 @@ import numpy as np
 
 from .special import chi2_sf
 from .tables import ContingencyTable, DataError, cell_levels, term_columns
-from .measures import TwoByTwo
+from .measures import TwoByTwo, deviance_of
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -297,14 +297,7 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         message = "fitted probabilities numerically 0 or 1 (separation)"
     p = 1.0 / (1.0 + np.exp(-eta))
     mu = n * p
-
-    def xlogy(a, b):
-        out = np.zeros_like(a, dtype=float)
-        mask = a > 0
-        out[mask] = a[mask] * np.log(a[mask] / b[mask])
-        return out
-
-    dev = float(2.0 * np.sum(xlogy(y, mu) + xlogy(n - y, n - mu)))
+    dev = deviance_of(np.concatenate([y, n - y]), np.concatenate([mu, n - mu]))
 
     w = n * p * (1.0 - p)
     info = X.T @ (X * w[:, None])
@@ -374,7 +367,7 @@ def interaction_from_odds_ratios(strata) -> InteractionEstimate:
     ``strata`` maps (m1, m2) level pairs to the four 2x2 tables.  The
     estimate is log or(1,1) - log or(1,0) - log or(0,1) + log or(0,0); its
     standard error is the square root of the summed reciprocals of all
-    sixteen cells, undefined if any cell is empty.
+    sixteen cells, which must all be positive.
     """
     needed = {(0, 0), (0, 1), (1, 0), (1, 1)}
     if set(strata) != needed:
@@ -388,8 +381,6 @@ def interaction_from_odds_ratios(strata) -> InteractionEstimate:
     est = (log_or(strata[(1, 1)]) - log_or(strata[(1, 0)])
            - log_or(strata[(0, 1)]) + log_or(strata[(0, 0)]))
     cells = [c for t in strata.values() for c in (t.n11, t.n10, t.n01, t.n00)]
-    if any(c == 0 for c in cells):
-        return InteractionEstimate(est, None, None)
     se = math.sqrt(sum(1.0 / c for c in cells))
     return InteractionEstimate(est, se, est / se)
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs
+from .measures import deviance_of, pearson_of
 from .special import chi2_sf
 from .tables import ContingencyTable, DataError, Schema, term_columns
 
@@ -29,24 +30,36 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 
 
+def _terms(schema: Schema, generators) -> tuple[tuple[int, ...], ...]:
+    """The hierarchical expansion: every distinct subset of the generators,
+    the empty set included, as a tuple of axes, ordered by size and then
+    by axes."""
+    terms = {()}
+    for g in generators:
+        axes = sorted(schema.axis(v) for v in g)
+        for r in range(1, len(axes) + 1):
+            terms.update(itertools.combinations(axes, r))
+    return tuple(sorted(terms, key=lambda t: (len(t), t)))
+
+
 @dataclass(frozen=True)
 class LoglinearSpec:
     """A generating class: nonempty variable subsets, none contained in another.
 
-    Construction reduces the generators to the minimal representation and
-    orders them deterministically.
+    Construction reduces the generators to the minimal representation,
+    orders them deterministically and expands them into ``terms``.
     """
 
     schema: Schema
     generators: tuple[tuple[str, ...], ...]
+    terms: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = [frozenset(g) for g in self.generators]
         if not gens or any(not g for g in gens):
             raise DataError("generators must be nonempty")
-        for g in gens:
-            for name in g:
-                self.schema.axis(name)
+        # the expansion looks up, and so checks, every variable name
+        object.__setattr__(self, "terms", _terms(self.schema, gens))
         minimal = [g for g in gens if not any(g < other for other in gens)]
         dedup = sorted({tuple(sorted(g)) for g in minimal}, key=lambda g: (len(g), g))
         object.__setattr__(self, "generators", tuple(dedup))
@@ -54,11 +67,7 @@ class LoglinearSpec:
     def n_parameters(self) -> int:
         """Free parameters of the hierarchical expansion: all distinct
         subsets of the generators, including the empty set."""
-        subsets = {()}
-        for g in self.generators:
-            for r in range(1, len(g) + 1):
-                subsets.update(itertools.combinations(g, r))
-        return len(subsets)
+        return len(self.terms)
 
     def df(self) -> int:
         return 2 ** len(self.schema) - self.n_parameters()
@@ -86,24 +95,6 @@ class LoglinearFit:
 
 def _margin_axes(schema: Schema, names) -> tuple[int, ...]:
     return tuple(sorted(schema.axis(n) for n in names))
-
-
-def deviance_of(observed: np.ndarray, fitted: np.ndarray) -> float:
-    obs = observed.ravel()
-    fit = fitted.ravel()
-    pos = obs > 0
-    if np.any(fit[pos] == 0):
-        return math.inf
-    return float(2.0 * np.sum(obs[pos] * np.log(obs[pos] / fit[pos])))
-
-
-def pearson_of(observed: np.ndarray, fitted: np.ndarray) -> float:
-    obs = observed.ravel()
-    fit = fitted.ravel()
-    pos = fit > 0
-    if np.any(obs[~pos] > 0):
-        return math.inf
-    return float(np.sum((obs[pos] - fit[pos]) ** 2 / fit[pos]))
 
 
 def fit_ipf(observed: ContingencyTable, spec: LoglinearSpec,
@@ -319,14 +310,8 @@ def term_design(schema: Schema, generators) -> np.ndarray:
 
     Columns are bit masks of the flat cell index (``tables.term_columns``).
     """
-    subsets = {()}
-    for g in generators:
-        g = tuple(sorted(g, key=schema.axis))
-        for r in range(1, len(g) + 1):
-            subsets.update(itertools.combinations(g, r))
-    terms = sorted((tuple(schema.axis(v) for v in s) for s in subsets),
-                   key=lambda t: (len(t), t))
-    return term_columns(len(schema), terms, np.arange(2 ** len(schema)))
+    return term_columns(len(schema), _terms(schema, generators),
+                        np.arange(2 ** len(schema)))
 
 
 def contrast_variances(fit: LoglinearFit, spec: LoglinearSpec, hi, lo) -> np.ndarray:

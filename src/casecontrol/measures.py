@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .tables import CellAddress, ContingencyTable, DataError
 
 
@@ -142,29 +144,32 @@ def pearson_r(t: TwoByTwo) -> float:
     return (t.n11 * t.n00 - t.n10 * t.n01) / denom
 
 
-def _xlogy(n: float, ratio_num: float, ratio_den: float) -> float:
-    # n * log(num/den) with the 0 log 0 convention
-    if n == 0:
-        return 0.0
-    return n * math.log(ratio_num / ratio_den)
+def deviance_of(observed: np.ndarray, fitted: np.ndarray) -> float:
+    """2 sum n log(n / m) with 0 log 0 = 0; infinite where n > 0 = m."""
+    obs = observed.ravel()
+    fit = fitted.ravel()
+    pos = obs > 0
+    if np.any(fit[pos] == 0):
+        return math.inf
+    return float(2.0 * np.sum(obs[pos] * np.log(obs[pos] / fit[pos])))
+
+
+def pearson_of(observed: np.ndarray, fitted: np.ndarray) -> float:
+    """sum (n - m)^2 / m over the cells with m > 0; infinite where n > 0 = m."""
+    obs = observed.ravel()
+    fit = fitted.ravel()
+    pos = fit > 0
+    if np.any(obs[~pos] > 0):
+        return math.inf
+    return float(np.sum((obs[pos] - fit[pos]) ** 2 / fit[pos]))
 
 
 def chi_squares(t: TwoByTwo) -> tuple[float, float]:
-    """(likelihood-ratio, Pearson) chi-square statistics for independence."""
-    n = t.total
-    cells = {(1, 1): t.n11, (1, 0): t.n10, (0, 1): t.n01, (0, 0): t.n00}
-    fmarg = {1: t.n11 + t.n10, 0: t.n01 + t.n00}
-    rmarg = {1: t.n11 + t.n01, 0: t.n10 + t.n00}
-    lr = 0.0
-    pearson = 0.0
-    for (f, r), obs in cells.items():
-        m = fmarg[f] * rmarg[r] / n
-        if m > 0:
-            lr += _xlogy(obs, obs, m)
-            pearson += (obs - m) ** 2 / m
-        elif obs > 0:
-            return math.inf, math.inf
-    return 2.0 * lr, pearson
+    """(likelihood-ratio, Pearson) chi-square statistics for independence,
+    against the fit outer(factor margins, response margins) / n."""
+    obs = np.array([[t.n11, t.n10], [t.n01, t.n00]])
+    fit = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / t.total
+    return deviance_of(obs, fit), pearson_of(obs, fit)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .loglinear import (
 )
 from .graphs import IndependenceStatement
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, Schema
+from .tables import ContingencyTable, DataError, Schema, json_names
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,14 @@ class CaseControlModel:
     def from_json(cls, text: str, observed: ContingencyTable,
                   indicator: str = "L") -> "CaseControlModel":
         payload = json.loads(text)
+        message = "model JSON needs case/control 'generators' lists of variable-name lists"
         try:
             case_gens = payload["case"]["generators"]
             control_gens = payload["control"]["generators"]
         except (TypeError, KeyError):
-            raise DataError("model JSON needs case/control generator lists") from None
-        return cls.from_generators(observed, case_gens, control_gens, indicator)
+            raise DataError(message) from None
+        return cls.from_generators(observed, json_names(case_gens, message, nested=True),
+                                   json_names(control_gens, message, nested=True), indicator)
 
     def to_json(self) -> str:
         return json.dumps({"case": self.case_spec.to_dict(),
@@ -130,7 +132,7 @@ class SmoothedEstimates:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (m[1, 1] * m[0, 0]) / denom
         values = [None if d == 0 else r for r, d in zip(ratio.tolist(), denom.tolist())]
-        return dict(zip(_strata(len(order) - 2), values))
+        return dict(zip(itertools.product((0, 1), repeat=len(order) - 2), values))
 
     def odds_ratio_ses(self, factor: str, given) -> dict:
         """Delta-method standard errors of the smoothed log odds-ratios.
@@ -144,18 +146,13 @@ class SmoothedEstimates:
         axes = self._axis_order(schema, factor, given)
         k = len(schema)
         strides = 1 << (k - 1 - np.array(axes))
-        keys = _strata(k - 1)
+        keys = list(itertools.product((0, 1), repeat=k - 1))
         lo = np.array(keys, dtype=np.int64).reshape(len(keys), k - 1) @ strides[1:]
         hi = lo + strides[0]
         var = (contrast_variances(self.case_fit, self.model.case_spec, hi, lo)
                + contrast_variances(self.control_fit, self.model.control_spec, hi, lo))
         ses = [None if math.isnan(v) else math.sqrt(v) for v in var.tolist()]
         return dict(zip(keys, ses))
-
-
-def _strata(n: int) -> list[tuple[int, ...]]:
-    """Level tuples of ``n`` binary variables in C order."""
-    return list(itertools.product((0, 1), repeat=n))
 
 
 def smooth(observed: ContingencyTable, m: CaseControlModel,

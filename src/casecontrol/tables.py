@@ -205,6 +205,17 @@ def from_cells(variables, cells: Mapping[tuple[int, ...], float]) -> Contingency
     return ContingencyTable(schema, arr)
 
 
+def json_names(value, message: str, nested: bool = False, error=DataError):
+    """A JSON list of names as a tuple, or with ``nested`` a list of name
+    lists as a tuple of tuples; ``error(message)`` for anything else.  Every
+    name must be a JSON string: a string is never split into letters."""
+    if nested and isinstance(value, list):
+        return tuple(json_names(items, message, error=error) for items in value)
+    if nested or not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise error(message)
+    return tuple(value)
+
+
 def ingest(cells_text: str) -> ContingencyTable:
     """Parse the cell-CSV format: header of variable names plus ``count``.
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casecontrol
 from casecontrol.cli import COMMAND_OPERATIONS, build_parser, main
@@ -311,3 +316,258 @@ def test_select_max_iter_reaches_candidate_fits(capsys, monkeypatch):
     assert code == 0
     assert len(budgets) > 1
     assert set(budgets) == {1}
+
+
+# -- iteration flags only where a fit runs; bounded numbers ---------------------------
+
+FITTING = {"fit-loglinear", "fit-logit", "smooth", "select"}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if hasattr(a, "choices") and a.choices).choices
+
+
+def test_iteration_flags_only_where_a_fit_runs():
+    for name, p in _subparsers().items():
+        flags = {opt for action in p._actions for opt in action.option_strings}
+        expected = {"--tol", "--max-iter"} if name in FITTING else set()
+        assert flags & {"--tol", "--max-iter"} == expected, name
+
+
+def test_iteration_defaults_are_the_library_defaults():
+    from casecontrol import logit, loglinear
+
+    parser = build_parser()
+    for argv, tol, max_iter in [
+        (["fit-loglinear"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
+        (["smooth"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
+        (["select"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
+        (["fit-logit", "--formula", "L : V"], logit.DEFAULT_TOL, logit.DEFAULT_MAX_ITER),
+    ]:
+        args = parser.parse_args(argv)
+        assert (args.tol, args.max_iter) == (tol, max_iter)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "cells.csv"], ["marginal", "--keep", "L,V"], ["measure", "--pair", "L,V"],
+    ["graph-check", "--bundled-graph", "vcr_controls"],
+    ["collapse", "--pair", "E,A", "--over", "R"], ["reproduce"],
+])
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iter", "5"]])
+def test_iteration_flags_rejected_where_no_fit_runs(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    *(["fit-loglinear", "--generators", "V,C;R", "--tol", v]
+      for v in ("nan", "inf", "0", "-1", "x")),
+    *(["fit-logit", "--formula", "L : V", "--max-iter", v] for v in ("0", "-1", "1.5")),
+    ["smooth", "--case", "V,C,R;C,A;E", "--control", "V,C;A,E;E,R", "--tol", "-inf"],
+    ["select", "--max-iter", "0"],
+    ["collapse", "--pair", "E,A", "--over", "R", "--alpha", "nan"],
+    ["collapse", "--pair", "E,A", "--over", "R", "--alpha", "1"],
+    ["select", "--alpha", "nan"],
+    ["select", "--alpha", "0"],
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "expected" in err and "Traceback" not in err
+
+
+def test_in_range_iteration_flags_reach_the_fit(capsys):
+    code, out, _ = run(capsys, "fit-logit", "--formula", "L : V*C", "--max-iter", "1")
+    assert code == 0
+    assert "converged False after 1 iterations" in out
+    code, out, _ = run(capsys, "fit-loglinear", "--generators", "V,C;C,R;V,R",
+                       "--tol", "1e300", "--max-iter", "7")
+    assert code == 0
+    assert "converged True after 1 sweeps" in out
+
+
+# -- one reader per input: model and graph files, reproduce --data/--slice ----------
+
+SMOOTH_FLAGS = ("--case", "V,C,R;C,A;E", "--control", "V,C;A,E;E,R", "--or-factor", "V")
+
+
+def test_smooth_model_file_matches_flags(study, tmp_path, capsys):
+    model = casecontrol.CaseControlModel.from_generators(
+        study, [("V", "C", "R"), ("C", "A"), ("E",)], [("V", "C"), ("A", "E"), ("E", "R")])
+    path = tmp_path / "model.json"
+    path.write_text(model.to_json(), encoding="utf-8")
+    code, from_file, _ = run(capsys, "smooth", "--model", str(path), "--or-factor", "V")
+    assert code == 0
+    assert from_file == run(capsys, "smooth", *SMOOTH_FLAGS)[1]
+
+
+@pytest.mark.parametrize("generators", ["VCR", [["V", ["C"]]]])
+def test_smooth_model_file_fails_closed(tmp_path, capsys, generators):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"case": {"generators": [["V", "C", "R"]]},
+                                "control": {"generators": generators}}), encoding="utf-8")
+    code, out, err = run(capsys, "smooth", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: model JSON needs case/control 'generators' lists")
+
+
+@pytest.mark.parametrize("payload", [
+    {"nodes": "VCR", "edges": []},
+    {"nodes": ["V", "C"], "edges": [], "blocks": ["VC"]},
+    5,
+    {"nodes": ["a", ["b"]], "edges": []},
+])
+def test_graph_file_fails_closed(tmp_path, capsys, payload):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "graph-check", "--graph", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: graph JSON")
+
+
+@pytest.mark.parametrize("argv", [["ingest"], ["measure", "--pair", "L,V", "--data"],
+                                  ["graph-check", "--graph"], ["smooth", "--model"],
+                                  ["fit-loglinear", "--model"]])
+def test_undecodable_file_is_a_data_error(tmp_path, capsys, argv):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_reproduce_honours_slice_and_data(capsys, tmp_path):
+    code, out, err = run(capsys, "reproduce", "--slice", "L=1")
+    assert (code, out, err) == (1, "", "error: unknown variable 'L'\n")
+    path = tmp_path / "study.csv"
+    path.write_text(bundled_dataset_text(), encoding="utf-8")
+    code, out, _ = run(capsys, "reproduce", "--data", str(path))
+    assert code == 0
+    assert out == run(capsys, "reproduce")[1]
+
+
+# -- property: every argv ends in exit 0, 1 or 2, never in a traceback -----------------
+
+def pool(valid, malformed):
+    """Argument values, valid ones three times as likely as malformed ones."""
+    return st.sampled_from(valid * 3 + malformed)
+
+
+NAMES = pool(["L,V", "E,A", "C,R", "V", "A"], ["L", "Z", "L,Z", "L,V,C", ",", ""])
+ADDRESSES = pool(["C=1,R=0", "L=1", "A=0"], ["L=2", "Z=0", "L", "L=0,V=0,C=0,R=0,A=0,E=0"])
+GENERATORS = pool(["V,C;R", "V,C,R;C,A;E", "V,C;A,E;E,R"], ["Z", ";", "L,V;Z", ""])
+FORMULAS = pool(["L : V", "L : V*C*R + A*E", "L : (V+C)^2"], ["L : Z", "L :", "(", "V : L^x"])
+STATEMENTS = pool(["V | A,E | C,R", "V | C"],
+                  ["V | V", "a | b | c | d", "V | | C", "|", "V | Z"])
+TOLS = pool(["1e-3", "1e-8"], ["nan", "inf", "-inf", "0", "-1", "x", ""])
+COUNTS = pool(["1", "3", "50"], ["0", "-1", "1.5", "nan", "x"])
+ALPHAS = pool(["0.05", "0.2"], ["nan", "0", "1", "-1", "inf", "x"])
+LEVELS = pool(["0", "1", "2"], ["-1", "1.5", "x"])
+FILES = {
+    "model_ok": {"case": {"generators": [["V", "C", "R"], ["C", "A"], ["E"]]},
+                 "control": {"generators": [["V", "C"], ["A", "E"], ["E", "R"]]},
+                 "generators": [["V", "C"], ["R"]]},
+    "model_string": {"case": {"generators": "VCR"}, "control": {"generators": "VC"},
+                     "generators": "VC"},
+    "model_nested": {"case": {"generators": [["V", ["C"]]]},
+                     "control": {"generators": [["V", ["C"]]]},
+                     "generators": [["V", ["C"]]]},
+    "model_unknown": {"case": {"generators": [["Z"]]}, "control": {"generators": [[]]},
+                      "generators": [["Z"]]},
+    "graph_ok": {"nodes": ["V", "C", "R"], "edges": [{"a": "V", "b": "C"}]},
+    "graph_nodes_string": {"nodes": "VCR", "edges": []},
+    "graph_blocks_string": {"nodes": ["V", "C"], "edges": [], "blocks": ["VC"]},
+    "graph_nested": {"nodes": ["a", ["b"]], "edges": []},
+    "graph_arrow": {"nodes": ["V", "C"], "edges": [{"a": "V", "b": "C", "kind": "arrow"}]},
+    "number": 5,
+}
+TEXTS = {"not_json": "{nodes", "data_ok": bundled_dataset_text(),
+         "data_duplicate": "A,B,count\n0,0,1\n0,0,2\n", "data_nan": "A,count\n0,1\n1,nan\n"}
+
+
+@pytest.fixture(scope="module")
+def argv_cases(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    path = {name: str(root / name) for name in [*FILES, *TEXTS, "missing"]}
+    for name, payload in FILES.items():
+        Path(path[name]).write_text(json.dumps(payload), encoding="utf-8")
+    for name, text in TEXTS.items():
+        Path(path[name]).write_text(text, encoding="utf-8")
+    path["binary"] = str(root / "binary")
+    Path(path["binary"]).write_bytes(b"\xff\xfe\x00")
+    bad = [path[n] for n in ("missing", "not_json", "number", "binary")]
+    data = pool([path["data_ok"]], [path["data_duplicate"], path["data_nan"], *bad])
+    # every file is a reader's input, so malformed ones are as likely as valid ones
+    models = st.sampled_from([path[n] for n in FILES if n.startswith("model_")] + bad)
+    graphs = st.sampled_from([path[n] for n in FILES if n.startswith("graph_")] + bad)
+    switch = st.just(None)
+    table = {"--format": pool(["text", "json"], ["xml"]), "--data": data,
+             "--slice": ADDRESSES}
+    fit = {"--tol": TOLS, "--max-iter": COUNTS}
+    bundled = pool(["vcr_controls", "study_ordering"], ["nope"])
+    grammar = {  # subcommand: (alternative sets of required flags, optional flags)
+        "ingest": ([{"input": data}], {"--format": table["--format"]}),
+        "marginal": ([{"--keep": NAMES}], {**table, "--given": ADDRESSES}),
+        "measure": ([{"--pair": NAMES}],
+                    {**table, "--given": st.one_of(ADDRESSES, NAMES), "--split": NAMES,
+                     "--mixture-over": NAMES}),
+        "fit-loglinear": ([{"--generators": GENERATORS}, {"--model": models},
+                           {"--closed-form": switch}],
+                          {**table, **fit, "--response": NAMES, "--fitted": switch}),
+        "fit-logit": ([{"--formula": FORMULAS}],
+                      {**table, **fit, "--or-pair": NAMES, "--or-given": NAMES}),
+        "smooth": ([{"--model": models}, {"--case": GENERATORS, "--control": GENERATORS}],
+                   {**table, **fit, "--response": NAMES, "--or-factor": NAMES,
+                    "--or-given": NAMES, "--fitted": switch}),
+        "select": ([{}], {**table, **fit, "--alpha": ALPHAS}),
+        "graph-check": ([{"--graph": graphs}, {"--bundled-graph": bundled}],
+                        {"--format": table["--format"], "--cliques": switch,
+                         "--separates": STATEMENTS, "--implied": LEVELS, "--drop": NAMES}),
+        "collapse": ([{"--pair": NAMES, "--over": NAMES}],
+                     {**table, "--measure": pool(["or", "rr"], ["xx"]), "--alpha": ALPHAS}),
+        "reproduce": ([{}], table),
+    }
+    # flags that the subcommand lacks, now and then
+    stray = {"--tol": TOLS, "--max-iter": COUNTS, "--bogus": switch}
+
+    @st.composite
+    def build(draw):
+        command = draw(st.sampled_from(sorted(grammar)))
+        required, optional = grammar[command]
+        flags = dict(draw(st.sampled_from(required))) if draw(st.integers(0, 9)) else {}
+        for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=3)):
+            flags[flag] = optional[flag]
+        if not draw(st.integers(0, 9)):
+            flag = draw(st.sampled_from(sorted(stray)))
+            flags[flag] = stray[flag]
+        argv = [command]
+        for flag, values in flags.items():
+            value = draw(values)
+            if flag == "input":
+                argv.append(value)
+            else:
+                argv += [flag] if value is None else [flag, value]
+        return argv
+
+    return build()
+
+
+def test_every_argv_exits_cleanly(argv_cases):
+    @settings(max_examples=300, deadline=None)
+    @given(argv_cases)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    check()

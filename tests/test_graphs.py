@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,28 @@ def test_graph_validation():
         MixedGraph(("a",), frozenset({("a", "b", FULL)}))
     with pytest.raises(GraphError, match="unknown edge kind"):
         MixedGraph(("a", "b"), frozenset({("a", "b", "bold")}))
+
+
+@pytest.mark.parametrize("payload", [
+    5, "VCR", [], {"nodes": ["V"]}, {"nodes": ["V"], "edges": 5},
+    {"nodes": "VCR", "edges": []},
+    {"nodes": ["a", ["b"]], "edges": []},
+    {"nodes": ["V", "C"], "edges": [], "blocks": ["VC"]},
+    {"nodes": ["V", "C"], "edges": [], "blocks": [["V", 1], ["C"]]},
+    {"nodes": ["V", "C"], "edges": ["VC"]},
+    {"nodes": ["V", "C"], "edges": [{"a": "V"}]},
+    {"nodes": ["V", "C"], "edges": [{"a": ["V"], "b": "C"}]},
+    {"nodes": ["V", "C"], "edges": [{"a": "V", "b": "C", "kind": ["full"]}]},
+])
+def test_graph_json_names_are_strings_never_split(payload):
+    # a string is not a node list, and every name must be a JSON string
+    with pytest.raises(GraphError):
+        MixedGraph.from_json(json.dumps(payload))
+
+
+def test_graph_json_empty_blocks_mean_none():
+    g = MixedGraph.from_json('{"nodes": ["V", "C"], "edges": [], "blocks": []}')
+    assert g.blocks is None and g.nodes == ("V", "C")
 
 
 def test_blocks_constrain_arrows():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,17 @@ def test_model_json_round_trip(study, model6):
     assert again == model6
     with pytest.raises(DataError, match="generator"):
         CaseControlModel.from_json("{}", study)
+
+
+@pytest.mark.parametrize("generators", [
+    "VCR", ["VC", "R"], [["V", ["C"]]], [["V", 1]], None, {"V": "C"},
+])
+def test_model_json_generator_lists_are_never_split(study, generators):
+    # a string generator would fit singletons, a nested list would not hash
+    text = json.dumps({"case": {"generators": [["V", "C", "R"]]},
+                       "control": {"generators": generators}})
+    with pytest.raises(DataError, match="generator"):
+        CaseControlModel.from_json(text, study)
 
 
 def test_model_totals(model6):

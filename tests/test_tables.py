@@ -7,13 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import ContingencyTable, DataError, Schema, emit, from_cells, ingest
-from casecontrol.tables import LEVELS
+from casecontrol.tables import LEVELS, json_names
 from casecontrol.data import bundled_dataset_text
 
 from conftest import table_strategy
 
 
 # -- ingestion ---------------------------------------------------------------
+
+def test_json_names():
+    assert json_names(["V", "C"], "bad") == ("V", "C")
+    assert json_names([["V", "C"], ["R"]], "bad", nested=True) == (("V", "C"), ("R",))
+    assert json_names([], "bad", nested=True) == ()
+    for value, nested in [("VC", False), (["V", 1], False), (None, False),
+                          ("VC", True), (["VC"], True), ([["V", ["C"]]], True),
+                          ([["V"], "C"], True), ({"V": ["C"]}, True)]:
+        with pytest.raises(DataError, match="^bad$"):
+            json_names(value, "bad", nested=nested)
+    with pytest.raises(KeyError):
+        json_names("VC", "bad", error=KeyError)
+
 
 def test_bundled_dataset_total(study):
     assert study.total == 580.0
