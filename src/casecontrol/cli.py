@@ -205,15 +205,13 @@ def cmd_fit_loglinear(args) -> int:
             lines.append(f"  controls {''.join(map(str, lv))}  {c:.2f}")
         _emit(args, payload, lines)
         return 0
-    if args.model:
+    if args.model is not None:
         spec_payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
         gens = tables.json_names(
             spec_payload.get("generators") if isinstance(spec_payload, dict) else None,
             "model JSON needs a 'generators' list of variable-name lists", nested=True)
-    elif args.generators:
-        gens = _parse_generators(args.generators)
     else:
-        raise UsageError("need --generators or --model")
+        gens = _parse_generators(args.generators)
     spec = loglinear.LoglinearSpec(t.schema, gens)
     fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
     payload = {
@@ -363,12 +361,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_graph_check(args) -> int:
-    if args.graph:
+    if args.graph is not None:
         g = graphs.MixedGraph.from_json(Path(args.graph).read_text(encoding="utf-8"))
-    elif args.bundled_graph:
-        g = bundled.load_graph(args.bundled_graph)
     else:
-        raise UsageError("need --graph FILE or --bundled-graph NAME")
+        g = bundled.load_graph(args.bundled_graph)
     payload: dict = {"nodes": list(g.nodes)}
     lines = [f"graph on {{{', '.join(g.nodes)}}} with {len(g.edges)} edges"]
     collisions = graphs.find_collision_vs(g)
@@ -488,10 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-loglinear", help="fit a hierarchical log-linear model by IPF")
     common(p, fit=loglinear)
-    p.add_argument("--generators", help="semicolon-separated variable lists, e.g. 'V,C;R'")
-    p.add_argument("--model", help="model-spec JSON file with a 'generators' entry")
-    p.add_argument("--closed-form", action="store_true",
-                   help="closed-form case-control estimator (four-variable table)")
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--generators", help="semicolon-separated variable lists, e.g. 'V,C;R'")
+    model.add_argument("--model", help="model-spec JSON file with a 'generators' entry")
+    model.add_argument("--closed-form", action="store_true",
+                       help="closed-form case-control estimator (four-variable table)")
     p.add_argument("--response", default="L")
     p.add_argument("--fitted", action="store_true", help="include fitted cells")
     p.set_defaults(func=cmd_fit_loglinear)
@@ -522,8 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph-check", help="collision, separation and clique queries")
     common(p, data=False)
-    p.add_argument("--graph", help="graph JSON file")
-    p.add_argument("--bundled-graph", help="name of a bundled graph fixture")
+    graph = p.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--graph", help="graph JSON file")
+    graph.add_argument("--bundled-graph", help="name of a bundled graph fixture")
     p.add_argument("--cliques", action="store_true")
     p.add_argument("--separates", help="statement 'a | b | c', names comma-separated")
     p.add_argument("--implied", type=int, metavar="MAX_C",

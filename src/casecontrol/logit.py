@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, cell_levels, term_columns
+from .tables import ContingencyTable, DataError, cell_levels, strata_cells, term_columns
 from .measures import TwoByTwo, deviance_of
 
 DEFAULT_TOL = 1e-8
@@ -402,23 +402,32 @@ def fitted_odds_ratios(fit: LogitFit, pair: tuple[str, str], given,
         raise DataError(f"factor {factor!r} not among the regressors")
     given = tuple(given)
     for v in given:
-        if v not in fit.regressors or v == factor:
+        if v not in fit.regressors or v == factor or given.count(v) > 1:
             raise DataError(f"bad conditioning variable {v!r}")
 
-    fi = fit.regressors.index(factor)
-    gi = [fit.regressors.index(v) for v in given]
-    out: dict[tuple[int, ...], float] = {}
-    for cell, p1 in fit.fitted_probabilities.items():
-        if cell[fi] != 1:
-            continue
-        base = tuple(0 if i == fi else lv for i, lv in enumerate(cell))
-        if base not in fit.fitted_probabilities:
-            continue
-        p0 = fit.fitted_probabilities[base]
-        ratio = (p1 / (1 - p1)) / (p0 / (1 - p0))
-        key = tuple(cell[i] for i in gi)
-        if key in out and not math.isclose(out[key], ratio, rel_tol=rel_tol):
-            raise DataError(
-                f"odds-ratio varies within conditioning stratum {key}; condition on more variables")
-        out[key] = ratio
-    return out
+    k = len(fit.regressors)
+    cells = np.array(list(fit.fitted_probabilities), dtype=np.int64).reshape(-1, k)
+    cells = cells @ (1 << np.arange(k - 1, -1, -1))
+    p, seen = np.zeros(1 << k), np.zeros(1 << k, dtype=bool)
+    p[cells], seen[cells] = list(fit.fitted_probabilities.values()), True
+    hi, lo = strata_cells(k, fit.regressors.index(factor), map(fit.regressors.index, given))
+    # the pairs with both cells occupied, stratum by stratum, each in C order
+    occupied = seen[hi] & seen[lo]
+    stratum, hi, lo = np.nonzero(occupied)[0], hi[occupied], lo[occupied]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (p[hi] / (1 - p[hi])) / (p[lo] / (1 - p[lo]))
+    ratio[~np.isfinite(ratio)] = np.nan  # None: a zero denominator (1 - p1) p0
+    # consecutive pairs of a stratum agree when both are None or both are
+    # numbers within rel_tol, as math.isclose reads it
+    prev, cur = ratio[:-1], ratio[1:]
+    agree = ((np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), np.abs(prev)))
+             | np.isnan(cur) & np.isnan(prev))
+    varies = np.flatnonzero((stratum[1:] == stratum[:-1]) & ~agree) + 1
+    keys = list(itertools.product((0, 1), repeat=len(given)))
+    if varies.size:
+        key = keys[stratum[varies[np.argmin(hi[varies])]]]
+        raise DataError(
+            f"odds-ratio varies within conditioning stratum {key}; condition on more variables")
+    last = np.diff(stratum, append=-1) != 0
+    return {keys[s]: None if math.isnan(r) else r
+            for s, r in zip(stratum[last].tolist(), ratio[last].tolist())}

@@ -162,31 +162,23 @@ def fit_closed_form_casecontrol(observed: ContingencyTable,
     """Closed-form joint estimate from a four-variable case-control table.
 
     The case slice (response = 1) is left saturated: fitted counts equal the
-    observed ones.  The control slice is fitted with the joint margin of the
-    first two regressors independent of the third,
-
-        m[j, k, l] = n[j, k, +] * n[+, +, l] / n_total,
-
-    which coincides with IPF under the generators {first two} and {third}.
-    Regressors are taken in schema order.
+    observed ones.  The control slice is fitted by ``fit_ipf`` with the joint
+    margin of the first two regressors independent of the third; its MLE has
+    the closed form m[j, k, l] = n[j, k, +] * n[+, +, l] / n_total, which IPF
+    reaches in one sweep.  Regressors are taken in schema order.
     """
     if len(observed.schema) != 4:
         raise DataError("closed form needs the response plus exactly three regressors")
     observed.schema.axis(response)
-    regressors = tuple(v for v in observed.variables if v != response)
-
     cases = observed.slice_l(response, 1)
     controls = observed.slice_l(response, 0)
     if controls.total <= 0:
         raise DataError("control slice is empty")
-
-    arr = controls.counts
-    jk = arr.sum(axis=2)
-    l_margin = arr.sum(axis=(0, 1))
-    fitted = jk[:, :, None] * l_margin[None, None, :] / controls.total
+    regressors = controls.variables
+    spec = LoglinearSpec(controls.schema, (regressors[:2], regressors[2:]))
     return CaseControlClosedForm(
-        cases=ContingencyTable(Schema(regressors), cases.counts),
-        controls=ContingencyTable(Schema(regressors), fitted),
+        cases=ContingencyTable(cases.schema, cases.counts),
+        controls=fit_ipf(controls, spec).fitted,
     )
 
 

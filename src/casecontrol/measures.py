@@ -56,12 +56,9 @@ def two_by_two(t: ContingencyTable, response: str, factor: str,
     if given:
         t = t.condition(given)
     m = t.marginalize({response, factor})
-    return TwoByTwo(
-        n11=m.cell({response: 1, factor: 1}),
-        n10=m.cell({response: 0, factor: 1}),
-        n01=m.cell({response: 1, factor: 0}),
-        n00=m.cell({response: 0, factor: 0}),
-    )
+    (n00, n10), (n01, n11) = m.counts.transpose(
+        m.schema.axis(response), m.schema.axis(factor)).tolist()
+    return TwoByTwo(n11=n11, n10=n10, n01=n01, n00=n00)
 
 
 def odds_ratio(t: TwoByTwo) -> float | None:
@@ -237,31 +234,20 @@ def rr_mixture_weights(t: ContingencyTable, a: str, b: str, c: str
     empty denominator.
     """
     m = t.marginalize({a, b, c})
+    if len(m.variables) != 3:
+        raise DataError("mixture weights need three distinct variables")
     n = m.total
-
-    def p_c(level):
-        return m.marginalize({c}).cell({c: level}) / n
-
-    def p_a1_given(b_level, c_level):
-        denom = (m.cell({a: 0, b: b_level, c: c_level})
-                 + m.cell({a: 1, b: b_level, c: c_level}))
-        if denom == 0:
+    # x[a, b=0, c]: the response counts at the factor's reference level
+    x = m.counts.transpose([m.schema.axis(v) for v in (a, b, c)])[:, 0].tolist()
+    weights = []
+    # a stratum with no mass contributes weight 0; its conditional
+    # probability is then never needed
+    for count, a0, a1 in zip(m.marginalize({c}).counts.tolist(), *x):
+        p_c = count / n
+        if p_c != 0 and a0 + a1 == 0:
             return None
-        return m.cell({a: 1, b: b_level, c: c_level}) / denom
-
-    def weight(c_level):
-        # a stratum with no mass contributes weight 0; its conditional
-        # probability is then never needed
-        pc = p_c(c_level)
-        if pc == 0:
-            return 0.0
-        base = p_a1_given(0, c_level)
-        return None if base is None else pc * base
-
-    alpha = weight(1)
-    beta = weight(0)
-    if alpha is None or beta is None:
-        return None
+        weights.append(0.0 if p_c == 0 else p_c * (a1 / (a0 + a1)))
+    beta, alpha = weights
     return alpha, beta
 
 

@@ -35,7 +35,7 @@ from .loglinear import (
 )
 from .graphs import IndependenceStatement
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, Schema, json_names
+from .tables import ContingencyTable, DataError, Schema, json_names, strata_cells
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,19 @@ class SmoothedEstimates:
     def regressors(self) -> tuple[str, ...]:
         return self.model.case_spec.schema.variables
 
-    def _axis_order(self, schema: Schema, factor: str, given) -> list[int]:
-        """Axes of ``factor`` and then of ``given`` in ``schema``, after
-        checking that ``given`` lists every other regressor once."""
+    def _strata(self, factor: str, given) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices ``(hi, lo)`` of the factor=1 and factor=0 regressor
+        cells, one pair per stratum of ``given`` in C order, after checking
+        that ``given`` lists every other regressor once."""
         given = tuple(given)
         if factor not in self.regressors:
             raise DataError(f"factor {factor!r} is not a regressor of the model")
         expect = set(self.regressors) - {factor}
         if len(given) != len(expect) or set(given) != expect:
             raise DataError(f"conditioning set must be exactly {sorted(expect)}")
-        return [schema.axis(v) for v in (factor, *given)]
+        schema = self.model.case_spec.schema
+        hi, lo = strata_cells(len(schema), schema.axis(factor), map(schema.axis, given))
+        return hi[:, 0], lo[:, 0]
 
     def odds_ratios(self, factor: str, given) -> dict:
         """Smoothed odds-ratios of (indicator, factor) per ``given`` stratum.
@@ -123,16 +126,14 @@ class SmoothedEstimates:
         ``given`` must list the remaining regressors (any order); keys are
         their level tuples.  Ratios with an empty denominator are None.
         """
-        joint = self.fitted_joint
-        order = [joint.schema.axis(self.indicator),
-                 *self._axis_order(joint.schema, factor, given)]
-        # m[response, factor, stratum], strata in C order of ``given``
-        m = np.moveaxis(joint.counts, order, range(len(order))).reshape(2, 2, -1)
-        denom = m[0, 1] * m[1, 0]
+        hi, lo = self._strata(factor, given)
+        case = self.case_fit.fitted.counts.ravel()
+        control = self.control_fit.fitted.counts.ravel()
+        denom = control[hi] * case[lo]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (m[1, 1] * m[0, 0]) / denom
+            ratio = (case[hi] * control[lo]) / denom
         values = [None if d == 0 else r for r, d in zip(ratio.tolist(), denom.tolist())]
-        return dict(zip(itertools.product((0, 1), repeat=len(order) - 2), values))
+        return dict(zip(itertools.product((0, 1), repeat=len(self.regressors) - 1), values))
 
     def odds_ratio_ses(self, factor: str, given) -> dict:
         """Delta-method standard errors of the smoothed log odds-ratios.
@@ -142,17 +143,11 @@ class SmoothedEstimates:
         are independent samples, so the contrast variances add.  A stratum
         whose contrast touches a fitted zero in either slice is None.
         """
-        schema = self.model.case_spec.schema
-        axes = self._axis_order(schema, factor, given)
-        k = len(schema)
-        strides = 1 << (k - 1 - np.array(axes))
-        keys = list(itertools.product((0, 1), repeat=k - 1))
-        lo = np.array(keys, dtype=np.int64).reshape(len(keys), k - 1) @ strides[1:]
-        hi = lo + strides[0]
+        hi, lo = self._strata(factor, given)
         var = (contrast_variances(self.case_fit, self.model.case_spec, hi, lo)
                + contrast_variances(self.control_fit, self.model.control_spec, hi, lo))
         ses = [None if math.isnan(v) else math.sqrt(v) for v in var.tolist()]
-        return dict(zip(keys, ses))
+        return dict(zip(itertools.product((0, 1), repeat=len(self.regressors) - 1), ses))
 
 
 def smooth(observed: ContingencyTable, m: CaseControlModel,
@@ -247,6 +242,8 @@ def _report(measure: str, pair: tuple[str, str], over: str, conditional: dict,
     """Verdict shared by the collapsibility checks: which of the two
     sufficient ``conditions`` hold (exactly, or as tests at ``alpha``) and
     whether conditional and marginal measures agree within ``rel_tol``."""
+    if alpha is not None and not 0 < alpha < 1:
+        raise DataError("alpha must lie in (0, 1)")
 
     def holds(test):
         if alpha is None:

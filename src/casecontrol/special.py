@@ -77,9 +77,12 @@ def gammainc_upper(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """P(X >= x) for X chi-square with ``df`` degrees of freedom."""
+    """P(X >= x) for X chi-square with ``df`` degrees of freedom; NaN for a
+    NaN statistic."""
     if df <= 0:
         raise ValueError("df must be positive")
+    if math.isnan(x):
+        return math.nan
     if x <= 0:
         return 1.0
     if math.isinf(x):

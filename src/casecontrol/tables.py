@@ -196,6 +196,18 @@ def term_columns(k: int, terms, cells) -> np.ndarray:
     return ((cells & masks) == masks).astype(float)
 
 
+def strata_cells(k: int, factor: int, given) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order indices ``(hi, lo)`` of the factor=1 and factor=0 cells of
+    a ``k``-variable table, of shape ``(2 ** len(given), 2 ** rest)``: one row
+    per level combination of the ``given`` axes in C order as listed, one
+    column per combination of the remaining axes in axis order."""
+    given = list(given)
+    cells = np.moveaxis(np.arange(1 << k, dtype=np.int64).reshape((2,) * k), [factor, *given],
+                        range(len(given) + 1))
+    lo, hi = cells.reshape(2, 1 << len(given), -1)
+    return hi, lo
+
+
 def from_cells(variables, cells: Mapping[tuple[int, ...], float]) -> ContingencyTable:
     """Build a table from a {levels: count} mapping; unlisted cells are 0."""
     schema = Schema(tuple(variables))

@@ -340,7 +340,7 @@ def test_iteration_defaults_are_the_library_defaults():
 
     parser = build_parser()
     for argv, tol, max_iter in [
-        (["fit-loglinear"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
+        (["fit-loglinear", "--generators", "V"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
         (["smooth"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
         (["select"], loglinear.DEFAULT_TOL, loglinear.DEFAULT_MAX_ITER),
         (["fit-logit", "--formula", "L : V"], logit.DEFAULT_TOL, logit.DEFAULT_MAX_ITER),
@@ -451,6 +451,41 @@ def test_reproduce_honours_slice_and_data(capsys, tmp_path):
     assert out == run(capsys, "reproduce")[1]
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-loglinear", "--closed-form", "--generators", "V"], "not allowed with argument"),
+    (["fit-loglinear", "--generators", "V", "--model", "m.json"], "not allowed with argument"),
+    (["fit-loglinear", "--model", "m.json", "--closed-form"], "not allowed with argument"),
+    (["fit-loglinear"], "one of the arguments --generators --model --closed-form is required"),
+    (["graph-check", "--graph", "g.json", "--bundled-graph", "vcr_controls"],
+     "not allowed with argument"),
+    (["graph-check"], "one of the arguments --graph --bundled-graph is required"),
+])
+def test_conflicting_or_missing_inputs_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and "Traceback" not in err
+
+
+SEPARATED = "L,V,C,count\n0,0,1,2\n1,0,0,1\n1,1,0,1\n1,1,1,1\n"
+
+
+def test_fitted_odds_ratio_at_a_probability_of_1(capsys, tmp_path):
+    # the V=1 cells are all cases: a fitted probability of exactly 1 makes
+    # the denominator (1 - p1) p0 zero, an undefined ratio, not a traceback
+    path = tmp_path / "separated.csv"
+    path.write_text(SEPARATED, encoding="utf-8")
+    argv = ["fit-logit", "--data", str(path), "--formula", "L : V + C", "--or-pair", "L,V"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "    C=0                  -\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["fitted_odds_ratios"]["C=0"] is None
+
+
 # -- property: every argv ends in exit 0, 1 or 2, never in a traceback -----------------
 
 def pool(valid, malformed):
@@ -487,7 +522,8 @@ FILES = {
     "number": 5,
 }
 TEXTS = {"not_json": "{nodes", "data_ok": bundled_dataset_text(),
-         "data_duplicate": "A,B,count\n0,0,1\n0,0,2\n", "data_nan": "A,count\n0,1\n1,nan\n"}
+         "data_duplicate": "A,B,count\n0,0,1\n0,0,2\n", "data_nan": "A,count\n0,1\n1,nan\n",
+         "data_separated": SEPARATED}
 
 
 @pytest.fixture(scope="module")
@@ -501,7 +537,8 @@ def argv_cases(tmp_path_factory):
     path["binary"] = str(root / "binary")
     Path(path["binary"]).write_bytes(b"\xff\xfe\x00")
     bad = [path[n] for n in ("missing", "not_json", "number", "binary")]
-    data = pool([path["data_ok"]], [path["data_duplicate"], path["data_nan"], *bad])
+    data = pool([path["data_ok"], path["data_separated"]],
+                [path["data_duplicate"], path["data_nan"], *bad])
     # every file is a reader's input, so malformed ones are as likely as valid ones
     models = st.sampled_from([path[n] for n in FILES if n.startswith("model_")] + bad)
     graphs = st.sampled_from([path[n] for n in FILES if n.startswith("graph_")] + bad)

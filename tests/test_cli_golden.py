@@ -1,7 +1,8 @@
 """Byte-for-byte text output of the README command list.
 
 The golden file holds the text stdout of every command in README's
-"Command line" section plus the two ``--fitted`` listings.  Regenerate it
+"Command line" section, the two ``--fitted`` listings and the JSON
+stdout of the odds-ratio and mixture-weight commands.  Regenerate it
 only for an intended output change, with
 ``PYTHONPATH=src python tests/test_cli_golden.py``, and review the diff.
 """
@@ -23,12 +24,15 @@ GOLDEN = Path(__file__).with_name("golden") / "cli_text.txt"
 COMMANDS = [
     "measure --pair L,V",
     "measure --pair L,V --given C=1,R=0",
+    "measure --slice L=0 --pair E,A --mixture-over R --format json",
     "marginal --keep L,V --given C=0,R=0",
     "fit-loglinear --slice L=1 --generators 'V,C,R;C,A;E'",
     "fit-loglinear --slice L=1 --generators 'V,C,R;C,A;E' --fitted",
     "fit-loglinear --closed-form --data lvcr.csv",
     "fit-logit --formula 'L : V*C*R + A*E' --or-pair L,V --or-given C,R",
+    "fit-logit --formula 'L : V*C*R + A*E' --or-pair L,V --or-given C,R --format json",
     "smooth --case 'V,C,R;C,A;E' --control 'V,C;A,E;E,R' --or-factor V",
+    "smooth --case 'V,C,R;C,A;E' --control 'V,C;A,E;E,R' --or-factor V --format json",
     "smooth --case 'V,C,R;C,A;E' --control 'V,C;A,E;E,R' --fitted",
     "select --slice L=1 --alpha 0.2",
     "graph-check --bundled-graph vcrae_controls --cliques --separates 'V | A,E | C,R'",

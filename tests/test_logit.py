@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import (
+    ContingencyTable,
     DataError,
     LoglinearSpec,
     TwoByTwo,
@@ -16,6 +18,7 @@ from casecontrol import (
     from_cells,
     interaction_from_odds_ratios,
     parse_formula,
+    Schema,
     two_by_two,
 )
 from casecontrol import logit
@@ -383,3 +386,109 @@ def test_grouped_data_matches_cell_lookups(t, data):
     assert n.tolist() == n_cell
     fit = fit_logit(t, parse_formula(f"{response} :"))
     assert list(fit.fitted_probabilities) == [c for c, nc in zip(cells, n_cell) if nc > 0]
+
+
+# -- fitted odds-ratios over flat strata -----------------------------------------------
+
+def per_cell_odds_ratios(fit, pair, given, rel_tol=1e-6):
+    """Fitted odds-ratios by a walk over the fitted cells, one at a time.
+
+    As in the 2x2 convention, a ratio with a zero denominator (1 - p1) p0,
+    or otherwise not finite, is None, and one whose numerator p1 (1 - p0)
+    alone vanishes is 0; None next to a number within one stratum varies."""
+    fi = fit.regressors.index(pair[1])
+    gi = [fit.regressors.index(v) for v in given]
+    out = {}
+    for cell, p1 in fit.fitted_probabilities.items():
+        if cell[fi] != 1:
+            continue
+        base = tuple(0 if i == fi else lv for i, lv in enumerate(cell))
+        if base not in fit.fitted_probabilities:
+            continue
+        p0 = fit.fitted_probabilities[base]
+        try:
+            ratio = (p1 / (1 - p1)) / (p0 / (1 - p0))
+        except ZeroDivisionError:
+            ratio = None if (1 - p1) * p0 == 0 else 0.0
+        if ratio is not None and not math.isfinite(ratio):
+            ratio = None
+        key = tuple(cell[i] for i in gi)
+        if key in out and ((out[key] is None) != (ratio is None) or ratio is not None
+                           and not math.isclose(out[key], ratio, rel_tol=rel_tol)):
+            raise DataError(
+                f"odds-ratio varies within conditioning stratum {key}; condition on more variables")
+        out[key] = ratio
+    return out
+
+
+@st.composite
+def logit_problems(draw):
+    """A table over L and 1-5 regressors with many empty cells, a formula, a
+    factor and a conditioning list in random order that may omit regressors."""
+    regressors = "ABCDE"[:draw(st.integers(1, 5))]
+    cells = 2 ** (len(regressors) + 1)
+    counts = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 30]), min_size=cells,
+                           max_size=cells).filter(any))
+    t = ContingencyTable(Schema(("L", *regressors)), np.array(counts, float))
+    products = draw(st.lists(st.lists(st.sampled_from(regressors), min_size=1, unique=True)
+                             .map("*".join), max_size=3))
+    factor = draw(st.sampled_from(regressors))
+    others = [v for v in regressors if v != factor]
+    given_ = draw(st.permutations(others))[:draw(st.integers(0, len(others)))]
+    return t, parse_formula("L : " + " + ".join(products)), factor, tuple(given_)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=logit_problems(), rel_tol=st.sampled_from([1e-6, 1e-2]), data=st.data())
+def test_fitted_odds_ratios_match_per_cell_walk(problem, rel_tol, data):
+    t, f, factor, given_ = problem
+    try:
+        fit = fit_logit(t, f)
+    except DataError:
+        return  # more terms than occupied cells
+    # separation drives fitted probabilities to exactly 0 or 1; set a few so
+    snapped = data.draw(st.dictionaries(st.sampled_from(sorted(fit.fitted_probabilities)),
+                                        st.sampled_from([0.0, 1.0]), max_size=3))
+    fit = replace(fit, fitted_probabilities={**fit.fitted_probabilities, **snapped})
+    try:
+        expected = per_cell_odds_ratios(fit, ("L", factor), given_, rel_tol)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            fitted_odds_ratios(fit, ("L", factor), given_, rel_tol)
+        assert str(raised.value) == str(exc)
+        return
+    ors = fitted_odds_ratios(fit, ("L", factor), given_, rel_tol)
+    assert list(ors) == sorted(ors)  # strata in C order of ``given``
+    assert repr(sorted(ors.items())) == repr(sorted(expected.items()))
+
+
+def test_fitted_odds_ratios_at_probabilities_0_and_1(study):
+    fit = fit_logit(study.marginalize({"L", "V", "C"}), parse_formula("L : V*C"))
+
+    def ors(probabilities, given_):
+        return fitted_odds_ratios(replace(fit, fitted_probabilities=probabilities),
+                                  ("L", "V"), given_)
+
+    # p1 = 1 or p0 = 0: zero denominator (1 - p1) p0, so None; p0 = 1 alone gives 0
+    assert ors({(0, 0): 0.5, (1, 0): 1.0, (0, 1): 0.0, (1, 1): 0.5}, ("C",)) == {
+        (0,): None, (1,): None}
+    assert ors({(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.2}, ("C",)) == {
+        (0,): 0.0, (1,): 0.25}
+    # None next to a number in one stratum varies; unoccupied pairs are skipped
+    with pytest.raises(DataError, match=r"varies within conditioning stratum \(\)"):
+        ors({(0, 0): 0.5, (1, 0): 1.0, (0, 1): 0.5, (1, 1): 0.2}, ())
+    assert ors({(0, 0): 0.5, (1, 0): 1.0, (1, 1): 0.2}, ()) == {(): None}
+    assert ors({(0, 0): 0.5, (0, 1): 0.2}, ()) == {}
+    with pytest.raises(DataError, match="bad conditioning variable 'C'"):
+        ors(fit.fitted_probabilities, ("C", "C"))
+
+
+def test_fitted_odds_ratio_of_a_stratum_is_its_last_pair(study):
+    fit = fit_logit(study.marginalize({"L", "V", "C", "R", "A"}),
+                    parse_formula("L : V*C*R + A"))
+    full = fitted_odds_ratios(fit, ("L", "V"), ("R", "A", "C"))
+    collapsed = fitted_odds_ratios(fit, ("L", "V"), ("R", "C"))
+    assert list(collapsed) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # the omitted A varies fastest in C order of the cells, so A=1 comes last
+    assert collapsed == {(r, c): full[(r, 1, c)] for r, c in collapsed}
+    assert collapsed != {(r, c): full[(r, 0, c)] for r, c in collapsed}

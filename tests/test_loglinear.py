@@ -212,6 +212,23 @@ def test_closed_form_requires_four_variables(study):
         fit_closed_form_casecontrol(empty_ctrl)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(t=table_strategy(min_vars=4, max_vars=4, max_count=20))
+def test_closed_form_is_the_explicit_formula(t):
+    cases, controls = t.slice_l("A", 1), t.slice_l("A", 0)
+    if cases.total == 0 or controls.total == 0:
+        with pytest.raises(DataError, match="empty" if controls.total == 0 else "positive"):
+            fit_closed_form_casecontrol(t, response="A")
+        return
+    closed = fit_closed_form_casecontrol(t, response="A")
+    n = controls.counts
+    formula = n.sum(axis=2)[:, :, None] * n.sum(axis=(0, 1))[None, None, :] / controls.total
+    assert closed.controls.variables == ("B", "C", "D")
+    np.testing.assert_allclose(closed.controls.counts, formula, rtol=1e-14, atol=0)
+    assert closed.cases == cases
+
+
 # -- deviance decomposition -------------------------------------------------------
 
 def test_cases_education_decomposition(cases):

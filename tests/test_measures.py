@@ -222,3 +222,27 @@ def test_rr_mixture_undefined_weights():
              (1, 1, 0): 3.0, (0, 1, 0): 7.0}
     t = from_cells(("A", "B", "C"), cells)
     assert rr_mixture_weights(t, "A", "B", "C") is None
+
+
+@pytest.mark.parametrize("a, b, c", [("A", "B", "A"), ("A", "B", "B"), ("A", "A", "C")])
+def test_rr_mixture_needs_three_distinct_variables(a, b, c):
+    t = analytic_table(0.3, 0.4, RISKS)
+    with pytest.raises(DataError, match="three distinct variables"):
+        rr_mixture_weights(t, a, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=table_strategy(min_vars=3, max_vars=5, max_count=4), data=st.data())
+def test_2x2_and_mixture_weights_match_cell_lookups(t, data):
+    a, b, c = data.draw(st.permutations(t.variables))[:3]
+    m = t.marginalize({a, b})
+    expected = TwoByTwo(n11=m.cell({a: 1, b: 1}), n10=m.cell({a: 0, b: 1}),
+                        n01=m.cell({a: 1, b: 0}), n00=m.cell({a: 0, b: 0}))
+    assert two_by_two(t, a, b) == expected
+    m = t.marginalize({a, b, c})
+    weights = []
+    for level in (1, 0):
+        p_c = m.marginalize({c}).cell({c: level}) / m.total
+        n0, n1 = (m.cell({a: lv, b: 0, c: level}) for lv in (0, 1))
+        weights.append(0.0 if p_c == 0 else None if n0 + n1 == 0 else p_c * (n1 / (n0 + n1)))
+    assert rr_mixture_weights(t, a, b, c) == (None if None in weights else tuple(weights))

@@ -389,6 +389,15 @@ def test_collapsibility_undefined_ratios_reported():
     assert not rep.collapsible
 
 
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, -0.5, 1.5, math.inf])
+@pytest.mark.parametrize("check", [check_or_collapsibility, check_rr_collapsibility])
+def test_collapsibility_alpha_outside_unit_interval_is_an_error(controls, check, alpha):
+    with pytest.raises(DataError, match=r"^alpha must lie in \(0, 1\)$"):
+        check(controls, "E", "A", "R", alpha=alpha)
+    assert check(controls, "E", "A", "R", alpha=0.05).which_condition != "neither"
+
+
 # -- relative-risk collapsibility -------------------------------------------------
 
 def analytic_b_indep_c(n=1e6):

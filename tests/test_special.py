@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
+from casecontrol import special
 from casecontrol.special import chi2_sf, gammainc_lower, gammainc_upper
 
 GRID_A = [0.5, 1.0, 1.5, 2.0, 3.5, 6.0, 10.5, 25.0, 100.0]
@@ -49,3 +50,12 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
     assert math.isclose(chi2_sf(-3.0, 4), 1.0)
+
+
+def test_chi2_sf_of_nan_is_nan_at_once(monkeypatch):
+    def no_gamma(a, x):
+        raise AssertionError("nan reached the incomplete gamma")
+
+    monkeypatch.setattr(special, "gammainc_upper", no_gamma)
+    for df in (1, 2, 7):
+        assert math.isnan(chi2_sf(math.nan, df))

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import ContingencyTable, DataError, Schema, emit, from_cells, ingest
-from casecontrol.tables import LEVELS, json_names
+from casecontrol.tables import LEVELS, json_names, strata_cells
 from casecontrol.data import bundled_dataset_text
 
 from conftest import table_strategy
@@ -328,3 +329,28 @@ def test_ingest_matches_per_cell_ingest_on_malformed_rows(t, data):
         assert str(raised.value) == str(exc)
     else:
         assert ingest(text) == expected
+
+
+# -- strata of the flat cell index ---------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_strata_cells_match_product_reference(data):
+    k = data.draw(st.integers(1, 8))
+    factor = data.draw(st.integers(0, k - 1))
+    others = [axis for axis in range(k) if axis != factor]
+    given_axes = data.draw(st.permutations(others))[:data.draw(st.integers(0, k - 1))]
+    rest = [axis for axis in others if axis not in given_axes]
+    expected = {0: [], 1: []}
+    for stratum in itertools.product((0, 1), repeat=len(given_axes)):
+        for level in (0, 1):
+            # one row per stratum, its cells in C order of the remaining axes
+            row = [sum(lv << (k - 1 - axis) for axis, lv
+                       in zip([factor, *given_axes, *rest], (level, *stratum, *others_lv)))
+                   for others_lv in itertools.product((0, 1), repeat=len(rest))]
+            assert row == sorted(row)
+            expected[level].append(row)
+    hi, lo = strata_cells(k, factor, given_axes)
+    assert hi.dtype == lo.dtype == np.int64
+    assert hi.tolist() == expected[1]
+    assert lo.tolist() == expected[0]
