@@ -124,6 +124,14 @@ def _parse_generators(text: str) -> tuple[tuple[str, ...], ...]:
     return gens
 
 
+def _warn_unconverged(label: str, fit, unit: str = "sweeps") -> None:
+    """One stderr line for a reported fit that did not converge; stdout and
+    the exit code stay as they are."""
+    if not fit.converged:
+        print(f"warning: {label} did not converge after {fit.iterations} {unit}",
+              file=sys.stderr)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -214,6 +222,7 @@ def cmd_fit_loglinear(args) -> int:
         gens = _parse_generators(args.generators)
     spec = loglinear.LoglinearSpec(t.schema, gens)
     fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged("log-linear fit", fit)
     payload = {
         "generators": [list(g) for g in spec.generators],
         "deviance": fit.deviance,
@@ -244,6 +253,7 @@ def cmd_fit_logit(args) -> int:
     t = _read_table(args)
     formula = logit.parse_formula(args.formula)
     fit = logit.fit_logit(t, formula, tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged("logit fit", fit, "iterations")
     single = all(len(v) == 1 for v in fit.regressors)
 
     def disp(term):
@@ -302,6 +312,8 @@ def cmd_smooth(args) -> int:
         raise UsageError("need --model or both --case and --control")
     est = smoothing.smooth(t, model, indicator=args.response,
                            tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged("case model", est.case_fit)
+    _warn_unconverged("control model", est.control_fit)
     payload = {
         "indicator": args.response,
         "case": {"deviance": est.case_fit.deviance, "df": est.case_fit.df,
@@ -342,6 +354,7 @@ def cmd_select(args) -> int:
     g = loglinear.forward_select(t, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     spec = loglinear.clique_spec(t.schema, g)
     fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged("selected model", fit)
     edges = sorted(f"{a}-{b}" for a, b, _ in g.edges)
     payload = {
         "alpha": args.alpha,

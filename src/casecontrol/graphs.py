@@ -314,18 +314,20 @@ def cliques(g: MixedGraph) -> list[tuple[str, ...]]:
     Bron-Kerbosch with pivoting; isolated nodes appear as singletons.
     """
     _require_full_line(g)
-    adj = g.skeleton()
     out = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda n: len(adj[n] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(g.nodes), set())
+    _expand(g.skeleton(), set(), set(g.nodes), set(), out)
     return sorted(out)
+
+
+def _expand(adj, r, p, x, out):
+    """One Bron-Kerbosch step: report ``r`` if maximal, else branch on the
+    candidates ``p`` not adjacent to the pivot.  A module-level function, so
+    that no closure refers to itself and a call leaves no reference cycle."""
+    if not p and not x:
+        out.append(tuple(sorted(r)))
+        return
+    pivot = max(p | x, key=lambda n: len(adj[n] & p))
+    for v in sorted(p - adj[pivot]):
+        _expand(adj, r | {v}, p & adj[v], x & adj[v], out)
+        p = p - {v}
+        x = x | {v}

@@ -255,42 +255,188 @@ def forward_select(observed: ContingencyTable, alpha: float, tol: float = DEFAUL
                    max_iter: int = DEFAULT_MAX_ITER) -> graphs.MixedGraph:
     """Greedy forward selection within the class of concentration graphs.
 
-    Starts from the edgeless graph; at each round fits every single-edge
-    extension via the cliques of the candidate graph and adds the edge with
-    the smallest deviance-difference p-value, provided it is below ``alpha``.
-    Ties break on the lexicographically smallest edge.  ``tol`` and
-    ``max_iter`` apply to every candidate fit.  Candidate evaluations are
-    independent, so the loop is trivially parallelizable; the reduction
-    order used here is deterministic either way.
+    Starts from the edgeless graph; at each round tests every single-edge
+    extension against the current graph and adds the edge with the smallest
+    deviance-difference p-value, provided it is below ``alpha``.  Ties break
+    on the lexicographically smallest edge.
+
+    A candidate's deviance is not refitted on the whole table.  The graph is
+    split by a complete separator S (the empty set when it is disconnected)
+    into pieces P_1..P_r, one per component of G - S with S added back, and
+
+        dev(V) = sum dev(P_i) + 2 [H(V) - sum H(P_i) + (r - 1) H(S)],
+
+    with H(A) = sum n log n over the observed margin of A (Frydenberg &
+    Lauritzen 1989).  Pieces are split again until they are complete, with
+    deviance 0, or prime; a prime piece is fitted by ``fit_ipf`` in its own
+    margin, with ``tol`` and ``max_iter``.  Adding u-v lowers df by the
+    number of complete subsets of the common neighbourhood of u and v, the
+    empty set included.  Entropies and piece deviances are memoized, keyed
+    by node set and the edges inside it, for the length of one call; a
+    candidate re-evaluates only the pieces that its edge touches.
+
+    A prime piece that has not been fitted counts first as deviance 0, which
+    bounds its candidate's p-value from below.  The piece is fitted only if
+    that bound is below ``alpha`` and below the best exact (p, edge) of the
+    round, so the selected graph is the one that fitting every candidate
+    would give.
     """
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
+    if tol <= 0:
+        raise DataError("tol must be positive")
+    if observed.total <= 0:
+        raise DataError("cannot fit an empty table")
     nodes = observed.variables
+    axis = {n: i for i, n in enumerate(nodes)}
+    pieces = _Pieces(observed, tol, max_iter)
+    everything = (1 << len(nodes)) - 1
+    adj = [0] * len(nodes)  # neighbours of each axis, as a bit mask
     edges: set[tuple[str, str]] = set()
 
-    def fit_for(edge_set):
-        g = graphs.full_line_graph(nodes, edge_set)
-        fit = fit_ipf(observed, clique_spec(observed.schema, g), tol=tol, max_iter=max_iter)
-        return fit.deviance, fit.df
-
-    current_dev, current_df = fit_for(edges)
-    all_pairs = [tuple(sorted(p)) for p in itertools.combinations(nodes, 2)]
+    current_dev, _ = pieces.deviance(everything, adj)
+    all_pairs = sorted(tuple(sorted(p)) for p in itertools.combinations(nodes, 2))
     while True:
-        best = None
-        for edge in sorted(all_pairs):
+        best, bounded = None, []
+        for edge in all_pairs:
             if edge in edges:
                 continue
-            dev, df = fit_for(edges | {edge})
-            ddf = current_df - df
-            drop = max(current_dev - dev, 0.0)
-            p = chi2_sf(drop, ddf) if ddf > 0 else 1.0
-            if best is None or (p, edge) < (best[0], best[1]):
-                best = (p, edge, dev, df)
+            u, v = axis[edge[0]], axis[edge[1]]
+            ddf = _complete_subsets(adj[u] & adj[v], adj)
+            cand = adj.copy()
+            cand[u] |= 1 << v
+            cand[v] |= 1 << u
+            dev, exact = pieces.deviance(everything, cand, fit=False)
+            p = chi2_sf(max(current_dev - dev, 0.0), ddf)
+            if not exact:
+                bounded.append((p, edge, ddf, cand))
+            elif best is None or (p, edge) < best[:2]:
+                best = (p, edge, dev, cand)
+        # lower bounds on p, from unfitted prime pieces counted as deviance 0
+        for p, edge, ddf, cand in sorted(bounded):
+            if p >= alpha or best is not None and (p, edge) > best[:2]:
+                break
+            dev, _ = pieces.deviance(everything, cand)
+            p = chi2_sf(max(current_dev - dev, 0.0), ddf)
+            if best is None or (p, edge) < best[:2]:
+                best = (p, edge, dev, cand)
         if best is None or best[0] >= alpha:
             break
-        edges.add(best[1])
-        current_dev, current_df = best[2], best[3]
+        _, edge, current_dev, adj = best
+        edges.add(edge)
     return graphs.full_line_graph(nodes, edges)
+
+
+def _bits(mask: int):
+    """Set bit positions of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _complete_subsets(mask: int, adj) -> int:
+    """Number of complete subsets of the graph induced on ``mask``, the
+    empty set included.  Each stack entry is the set of vertices that can
+    extend one complete subset, all of them above its largest vertex."""
+    count, stack = 0, [mask]
+    while stack:
+        extend = stack.pop()
+        count += 1
+        for v in _bits(extend):
+            extend ^= 1 << v
+            stack.append(extend & adj[v])
+    return count
+
+
+def _components(mask: int, adj) -> list[int]:
+    """Connected components of the graph induced on ``mask``."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
+def _split(mask: int, adj):
+    """A complete separator S of the graph induced on ``mask``, smallest
+    first, and the pieces C + S, one per component C of the graph less S;
+    None when no complete set separates the graph."""
+    queue = [(0, mask)]  # complete subsets, each with its possible extensions
+    for sep, extend in queue:  # the queue grows while it is read
+        comps = _components(mask & ~sep, adj)
+        if len(comps) > 1:
+            return sep, [c | sep for c in comps]
+        for v in _bits(extend):
+            extend ^= 1 << v
+            queue.append((sep | 1 << v, extend & adj[v]))
+    return None
+
+
+class _Pieces:
+    """Entropies H(A) = sum n log n of the margins of one observed table and
+    deviances of graphical models in them, memoized in plain containers that
+    live as long as the instance."""
+
+    def __init__(self, observed: ContingencyTable, tol: float, max_iter: int):
+        self.observed = observed
+        self.tol = tol
+        self.max_iter = max_iter
+        self.entropies: dict[int, float] = {}
+        self.deviances: dict[int, float] = {}
+
+    def entropy(self, mask: int) -> float:
+        if mask not in self.entropies:
+            counts = self.observed.counts
+            drop = tuple(i for i in range(counts.ndim) if not mask >> i & 1)
+            margin = np.asarray(counts.sum(axis=drop))  # a 0-d total for mask 0
+            self.entropies[mask] = 0.5 * deviance_of(margin, np.ones_like(margin))
+        return self.entropies[mask]
+
+    def deviance(self, mask: int, adj, fit: bool = True) -> tuple[float, bool]:
+        """Deviance of the graph induced on ``mask``, in the margin of
+        ``mask``, and whether it is exact.  Without ``fit`` a prime piece
+        that has not been fitted yet counts as 0, which gives a lower bound."""
+        # the key packs the node set and each node's neighbours in it into one int
+        key, complete, rest, width = mask, True, mask, len(adj)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            key |= (adj[v] & mask) << width * (v + 1)
+            complete = complete and adj[v] & mask | low == mask
+        if key in self.deviances:
+            return self.deviances[key], True
+        if complete:
+            dev, exact = 0.0, True
+        elif (split := _split(mask, adj)) is None:
+            if not fit:
+                return 0.0, False
+            dev, exact = self._fit_prime(mask, adj), True
+        else:
+            sep, parts = split
+            devs = [self.deviance(part, adj, fit) for part in parts]
+            dev = sum(d for d, _ in devs) + 2.0 * (
+                self.entropy(mask) - sum(self.entropy(part) for part in parts)
+                + (len(parts) - 1) * self.entropy(sep))
+            exact = all(e for _, e in devs)
+        if exact:
+            self.deviances[key] = dev
+        return dev, exact
+
+    def _fit_prime(self, mask: int, adj) -> float:
+        names = self.observed.variables
+        pairs = [(names[v], names[w]) for v in _bits(mask) for w in _bits(adj[v] & mask) if w > v]
+        margin = self.observed.marginalize([names[v] for v in _bits(mask)])
+        spec = clique_spec(margin.schema, graphs.full_line_graph(margin.variables, pairs))
+        return fit_ipf(margin, spec, tol=self.tol, max_iter=self.max_iter).deviance
 
 
 # -- variances of fitted log-count contrasts --------------------------------

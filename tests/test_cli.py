@@ -318,6 +318,51 @@ def test_select_max_iter_reaches_candidate_fits(capsys, monkeypatch):
     assert set(budgets) == {1}
 
 
+# -- a fit that did not converge is never silent ------------------------------------
+
+def unconverged(label, after):
+    return f"warning: {label} did not converge after {after}\n"
+
+
+def test_select_warns_when_the_reported_fit_stops_early(capsys):
+    code, out, err = run(capsys, "select", "--max-iter", "1")
+    assert code == 0
+    assert "fit: deviance 27.8691 on 38 df" in out
+    assert err == unconverged("selected model", "1 sweeps")
+
+
+def test_smooth_warns_for_each_slice_fit_that_stops_early(capsys):
+    code, out, err = run(capsys, "smooth", "--case", "V,C;C,R;V,R;A;E",
+                         "--control", "V,C;A,E;E,R", "--max-iter", "1", "--or-factor", "V")
+    assert code == 0
+    assert out.startswith("case model    deviance")
+    assert err == unconverged("case model", "1 sweeps")
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["fit-loglinear", "--generators", "V,C;C,R;V,R", "--max-iter", "2"],
+     unconverged("log-linear fit", "2 sweeps")),
+    (["fit-logit", "--formula", "L : V*C*R + A*E", "--max-iter", "1"],
+     unconverged("logit fit", "1 iterations")),
+])
+def test_fits_that_stop_early_warn_on_stderr(capsys, argv, warning):
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err == warning
+
+
+@pytest.mark.parametrize("argv", [
+    ["select"],
+    ["smooth", "--case", "V,C;C,R;V,R;A;E", "--control", "V,C;A,E;E,R", "--or-factor", "V"],
+    ["fit-loglinear", "--generators", "V,C;C,R;V,R"],
+    ["fit-logit", "--formula", "L : V*C*R + A*E"],
+])
+def test_converged_fits_write_nothing_to_stderr(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+
+
 # -- iteration flags only where a fit runs; bounded numbers ---------------------------
 
 FITTING = {"fit-loglinear", "fit-logit", "smooth", "select"}
@@ -474,12 +519,13 @@ SEPARATED = "L,V,C,count\n0,0,1,2\n1,0,0,1\n1,1,0,1\n1,1,1,1\n"
 
 def test_fitted_odds_ratio_at_a_probability_of_1(capsys, tmp_path):
     # the V=1 cells are all cases: a fitted probability of exactly 1 makes
-    # the denominator (1 - p1) p0 zero, an undefined ratio, not a traceback
+    # the denominator (1 - p1) p0 zero, an undefined ratio, not a traceback;
+    # the V coefficient diverges, so the fit also says that it did not converge
     path = tmp_path / "separated.csv"
     path.write_text(SEPARATED, encoding="utf-8")
     argv = ["fit-logit", "--data", str(path), "--formula", "L : V + C", "--or-pair", "L,V"]
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, unconverged("logit fit", "25 iterations"))
     assert "    C=0                  -\n" in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0

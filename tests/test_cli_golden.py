@@ -9,7 +9,9 @@ only for an intended output change, with
 
 import contextlib
 import io
+import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -19,6 +21,7 @@ from casecontrol.cli import main
 from casecontrol.data import bundled_table
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_text.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ``lvcr.csv`` is the (L, V, C, R) margin of the bundled table.
 COMMANDS = [
@@ -58,6 +61,17 @@ def render(workdir: Path) -> str:
 
 def test_text_output_matches_golden(tmp_path):
     assert render(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_python_dash_m_runs_the_cli():
+    command = "select --slice L=1 --alpha 0.2"
+    head = f"$ casecontrol {command}  # exit 0\n"
+    block = GOLDEN.read_text(encoding="utf-8").split(head, 1)[1].split("$ casecontrol ", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "casecontrol", *shlex.split(command)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, block, "")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -349,3 +350,14 @@ def test_cliques_controls_graph(controls_vcrae):
 def test_cliques_edgeless():
     g = full_line_graph("abc", [])
     assert cliques(g) == [("a",), ("b",), ("c",)]
+
+
+def test_cliques_leave_no_reference_cycle():
+    path = full_line_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    gc.collect()
+    gc.disable()
+    try:
+        assert cliques(path) == [("a", "b"), ("b", "c"), ("c", "d")]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

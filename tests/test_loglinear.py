@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -19,8 +20,17 @@ from casecontrol import (
     peel_sequence,
     independence_test,
 )
-from casecontrol.loglinear import clique_spec, term_design
+from casecontrol import graphs, loglinear
 from casecontrol.graphs import full_line_graph
+from casecontrol.loglinear import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _complete_subsets,
+    _Pieces,
+    clique_spec,
+    term_design,
+)
+from casecontrol.special import chi2_sf
 
 from conftest import table_strategy
 
@@ -324,6 +334,162 @@ def test_forward_select_alpha_validation(cases):
         forward_select(cases, alpha=0.0)
     with pytest.raises(DataError):
         forward_select(cases, alpha=1.0)
+
+
+def test_forward_select_rejects_bad_tol_and_empty_table(cases):
+    with pytest.raises(DataError, match="tol"):
+        forward_select(cases, alpha=0.2, tol=0.0)
+    empty = ContingencyTable(cases.schema, np.zeros_like(cases.counts), zero_total=True)
+    with pytest.raises(DataError, match="empty"):
+        forward_select(empty, alpha=0.2)
+
+
+# -- selection from clique-separator pieces ---------------------------------------------
+
+GRAPH_KINDS = ("random", "complete", "edgeless", "cycle", "cycle+chords", "forest")
+
+
+@st.composite
+def table_and_graph(draw, max_count=20):
+    """A 3-7 variable table with zero cells allowed and a concentration graph
+    on its variables: arbitrary, complete, edgeless, a chordless cycle through
+    every node (with or without random chords), or a forest."""
+    t = draw(table_strategy(min_vars=3, max_vars=7, max_count=max_count))
+    k = len(t.variables)
+    kind = draw(st.sampled_from(GRAPH_KINDS))
+    pairs = list(itertools.combinations(range(k), 2))
+    cycle = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+    if kind == "complete":
+        chosen = set(pairs)
+    elif kind == "edgeless":
+        chosen = set()
+    elif kind == "cycle":
+        chosen = cycle
+    elif kind == "forest":
+        chosen = {(draw(st.integers(0, j - 1)), j) for j in range(1, k) if draw(st.booleans())}
+    else:
+        chosen = {p for p in pairs if draw(st.booleans())}
+        if kind == "cycle+chords":
+            chosen |= cycle
+    names = t.variables
+    return t, full_line_graph(names, [(names[a], names[b]) for a, b in chosen])
+
+
+def _adjacency(g, names):
+    adj = [0] * len(names)
+    for a, b, _ in g.edges:
+        i, j = names.index(a), names.index(b)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_and_graph())
+def test_piece_deviance_and_df_drop_match_full_table_ipf(case):
+    """The clique-separator recursion against the reference it replaces: an
+    IPF fit of the whole table under the cliques of the graph.  Without
+    fitting prime pieces the recursion gives a lower bound."""
+    t, g = case
+    names = t.variables
+    adj = _adjacency(g, names)
+    full = (1 << len(names)) - 1
+    bound, _ = _Pieces(t, 1e-10, 10_000).deviance(full, adj, fit=False)
+    dev, exact = _Pieces(t, 1e-10, 10_000).deviance(full, adj)
+    assert exact
+    assert bound <= dev + 1e-9
+    ref = fit_ipf(t, clique_spec(t.schema, g), tol=1e-10)
+    if ref.converged:
+        assert dev == pytest.approx(ref.deviance, rel=1e-6, abs=1e-7)
+    present = {(a, b) for a, b, _ in g.edges}
+    for a, b in itertools.combinations(names, 2):
+        if (a, b) in present:
+            continue
+        larger = full_line_graph(names, present | {(a, b)})
+        i, j = names.index(a), names.index(b)
+        drop = _complete_subsets(adj[i] & adj[j], adj)
+        assert drop == (clique_spec(t.schema, g).df()
+                        - clique_spec(t.schema, larger).df())
+
+
+def _full_refit_select(observed, alpha, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, rounds=None):
+    """The earlier ``forward_select``: every candidate refitted on the whole
+    table by IPF.  Kept verbatim but for ``rounds``, which records each
+    round's candidate p-values."""
+    if not 0 < alpha < 1:
+        raise DataError("alpha must lie in (0, 1)")
+    nodes = observed.variables
+    edges: set[tuple[str, str]] = set()
+
+    def fit_for(edge_set):
+        g = graphs.full_line_graph(nodes, edge_set)
+        fit = fit_ipf(observed, clique_spec(observed.schema, g), tol=tol, max_iter=max_iter)
+        return fit.deviance, fit.df
+
+    current_dev, current_df = fit_for(edges)
+    all_pairs = [tuple(sorted(p)) for p in itertools.combinations(nodes, 2)]
+    while True:
+        best = None
+        ps = []
+        for edge in sorted(all_pairs):
+            if edge in edges:
+                continue
+            dev, df = fit_for(edges | {edge})
+            ddf = current_df - df
+            drop = max(current_dev - dev, 0.0)
+            p = chi2_sf(drop, ddf) if ddf > 0 else 1.0
+            ps.append(p)
+            if best is None or (p, edge) < (best[0], best[1]):
+                best = (p, edge, dev, df)
+        if rounds is not None:
+            rounds.append(sorted(ps))
+        if best is None or best[0] >= alpha:
+            break
+        edges.add(best[1])
+        current_dev, current_df = best[2], best[3]
+    return graphs.full_line_graph(nodes, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_strategy(min_vars=3, max_vars=7), st.sampled_from((0.01, 0.05, 0.2, 0.5)))
+def test_forward_select_matches_full_refit_loop(t, alpha):
+    """Same graph as refitting every candidate on the whole table.  The one
+    exception is a round whose two smallest p-values agree to 1e-9: two
+    edges that are tied in exact arithmetic, where rounding in the full-table
+    IPF, not the data, decides which of them the earlier loop took."""
+    rounds = []
+    ref = _full_refit_select(t, alpha, rounds=rounds)
+    got = forward_select(t, alpha)
+    if got != ref:
+        assert any(len(ps) > 1 and ps[1] - ps[0] <= 1e-9 * ps[1] for ps in rounds)
+
+
+def test_selection_fits_only_the_prime_pieces_that_can_win(study, cases, controls, monkeypatch):
+    """Slices of the bundled table select by margin sums alone; the whole
+    table fits some cyclic pieces, none of them twice."""
+    margins = []
+
+    def recording(observed, spec, **kwargs):
+        margins.append((observed.variables, spec.generators))
+        return fit_ipf(observed, spec, **kwargs)
+
+    monkeypatch.setattr(loglinear, "fit_ipf", recording)
+    forward_select(cases, alpha=0.2)
+    forward_select(controls, alpha=0.2)
+    assert margins == []
+    forward_select(study, alpha=0.2)
+    assert margins
+    assert len(set(margins)) == len(margins)
+
+
+def test_forward_select_leaves_no_reference_cycle(cases):
+    gc.collect()
+    gc.disable()
+    try:
+        forward_select(cases, alpha=0.2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_clique_spec_matches_graph(cases):
