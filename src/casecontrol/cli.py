@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import data as bundled
@@ -124,6 +125,16 @@ def _parse_generators(text: str) -> tuple[tuple[str, ...], ...]:
     return gens
 
 
+def _cell_map(table: tables.ContingencyTable) -> dict:
+    """Cell counts keyed by their levels in schema order, e.g. '0110'."""
+    return {"".join(map(str, lv)): c for lv, c in table.cells()}
+
+
+def _stratum_label(names, levels) -> str:
+    """The stratum at ``levels`` of ``names``, e.g. 'C=0,R=1'."""
+    return ",".join(f"{v}={l}" for v, l in zip(names, levels))
+
+
 def _warn_unconverged(label: str, fit, unit: str = "sweeps") -> None:
     """One stderr line for a reported fit that did not converge; stdout and
     the exit code stay as they are."""
@@ -146,8 +157,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 def cmd_ingest(args) -> int:
     src = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
     t = tables.ingest(src)
-    _emit(args, {"variables": list(t.variables), "total": t.total,
-                 "cells": {"".join(map(str, lv)): c for lv, c in t.cells()}},
+    _emit(args, {"variables": list(t.variables), "total": t.total, "cells": _cell_map(t)},
           [tables.emit(t).removesuffix("\n")])
     return 0
 
@@ -158,7 +168,7 @@ def cmd_marginal(args) -> int:
         t = t.condition(_parse_address(args.given))
     m = t.marginalize(set(_parse_names(args.keep)))
     _emit(args, {"variables": list(m.variables), "total": m.total, "zero_total": m.zero_total,
-                 "cells": {"".join(map(str, lv)): c for lv, c in m.cells()}},
+                 "cells": _cell_map(m)},
           [tables.emit(m).removesuffix("\n")])
     return 0
 
@@ -171,7 +181,7 @@ def cmd_measure(args) -> int:
         rep = smoothing.mixing_artifact_demo(t, (a, b), given, indicator=args.split)
         lines = [f"association of ({a},{b}) by {args.split}-slice and mixed"]
         for levels, vals in sorted(rep.strata.items()):
-            label = ",".join(f"{v}={l}" for v, l in zip(given, levels)) or "(all)"
+            label = _stratum_label(given, levels) or "(all)"
             lines.append(f"  {label:<16} control {_fmt(vals['control'])}"
                          f"  case {_fmt(vals['case'])}  mixed {_fmt(vals['mixed'])}")
         _emit(args, rep.to_dict(), lines)
@@ -204,13 +214,10 @@ def cmd_fit_loglinear(args) -> int:
     t = _read_table(args)
     if args.closed_form:
         closed = loglinear.fit_closed_form_casecontrol(t, response=args.response)
-        payload = {
-            "controls": {"".join(map(str, lv)): c for lv, c in closed.controls.cells()},
-            "cases": {"".join(map(str, lv)): c for lv, c in closed.cases.cells()},
-        }
+        payload = {"controls": _cell_map(closed.controls), "cases": _cell_map(closed.cases)}
         lines = ["closed-form case-control estimates (cases saturated)"]
-        for lv, c in closed.controls.cells():
-            lines.append(f"  controls {''.join(map(str, lv))}  {c:.2f}")
+        for key, c in payload["controls"].items():
+            lines.append(f"  controls {key}  {c:.2f}")
         _emit(args, payload, lines)
         return 0
     if args.model is not None:
@@ -232,7 +239,7 @@ def cmd_fit_loglinear(args) -> int:
         "iterations": fit.iterations,
         "converged": fit.converged,
         "max_margin_gap": fit.max_margin_gap,
-        "fitted": {"".join(map(str, lv)): c for lv, c in fit.fitted.cells()},
+        "fitted": _cell_map(fit.fitted),
     }
     lines = [
         "model " + " + ".join("{" + ",".join(g) + "}" for g in spec.generators),
@@ -243,8 +250,8 @@ def cmd_fit_loglinear(args) -> int:
     ]
     if args.fitted:
         lines.append("  fitted cells:")
-        for lv, c in fit.fitted.cells():
-            lines.append(f"    {''.join(map(str, lv))}  {c:.3f}")
+        for key, c in payload["fitted"].items():
+            lines.append(f"    {key}  {c:.3f}")
     _emit(args, payload, lines)
     return 0
 
@@ -288,12 +295,9 @@ def cmd_fit_logit(args) -> int:
             v for v in fit.regressors if v != factor)
         ors = logit.fitted_odds_ratios(fit, (response, factor), given)
         payload["fitted_odds_ratios"] = {
-            ",".join(f"{v}={l}" for v, l in zip(given, lv)): val
-            for lv, val in sorted(ors.items())
-        }
+            _stratum_label(given, lv): val for lv, val in sorted(ors.items())}
         lines.append(f"  fitted odds-ratios ({response},{factor}):")
-        for lv, val in sorted(ors.items()):
-            label = ",".join(f"{v}={l}" for v, l in zip(given, lv))
+        for label, val in payload["fitted_odds_ratios"].items():
             lines.append(f"    {label:<20} {_fmt(val)}")
     _emit(args, payload, lines)
     return 0
@@ -320,7 +324,7 @@ def cmd_smooth(args) -> int:
                  "p": est.case_fit.p_value},
         "control": {"deviance": est.control_fit.deviance, "df": est.control_fit.df,
                     "p": est.control_fit.p_value},
-        "fitted": {"".join(map(str, lv)): c for lv, c in est.fitted_joint.cells()},
+        "fitted": _cell_map(est.fitted_joint),
     }
     lines = [
         f"case model    deviance {est.case_fit.deviance:.4f} on {est.case_fit.df} df"
@@ -334,39 +338,45 @@ def cmd_smooth(args) -> int:
         ors = est.odds_ratios(args.or_factor, given)
         ses = est.odds_ratio_ses(args.or_factor, given)
         payload["smoothed_odds_ratios"] = {
-            ",".join(f"{v}={l}" for v, l in zip(given, lv)): {"or": val, "log_or_se": ses[lv]}
+            _stratum_label(given, lv): {"or": val, "log_or_se": ses[lv]}
             for lv, val in sorted(ors.items())
         }
         lines.append(f"smoothed odds-ratios ({args.response},{args.or_factor}):")
-        for lv, val in sorted(ors.items()):
-            label = ",".join(f"{v}={l}" for v, l in zip(given, lv))
-            lines.append(f"  {label:<24} {_fmt(val)}  (se of log: {_fmt(ses[lv], 3)})")
+        for label, entry in payload["smoothed_odds_ratios"].items():
+            lines.append(f"  {label:<24} {_fmt(entry['or'])}"
+                         f"  (se of log: {_fmt(entry['log_or_se'], 3)})")
     if args.fitted:
         lines.append("fitted joint cells:")
-        for lv, c in est.fitted_joint.cells():
-            lines.append(f"  {''.join(map(str, lv))}  {c:.2f}")
+        for key, c in payload["fitted"].items():
+            lines.append(f"  {key}  {c:.2f}")
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_select(args) -> int:
     t = _read_table(args)
-    g = loglinear.forward_select(t, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
-    spec = loglinear.clique_spec(t.schema, g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = loglinear.forward_select(t, alpha=args.alpha, tol=args.tol,
+                                     max_iter=args.max_iter)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    cliques = graphs.cliques(g)
+    spec = loglinear.LoglinearSpec(t.schema, tuple(cliques))
     fit = loglinear.fit_ipf(t, spec, tol=args.tol, max_iter=args.max_iter)
     _warn_unconverged("selected model", fit)
     edges = sorted(f"{a}-{b}" for a, b, _ in g.edges)
     payload = {
         "alpha": args.alpha,
         "edges": edges,
-        "cliques": [list(c) for c in graphs.cliques(g)],
+        "cliques": [list(c) for c in cliques],
         "deviance": fit.deviance,
         "df": fit.df,
         "p": fit.p_value,
     }
     lines = [
         "selected edges: " + (", ".join(edges) or "(none)"),
-        "cliques: " + " ".join("{" + ",".join(c) + "}" for c in graphs.cliques(g)),
+        "cliques: " + " ".join("{" + ",".join(c) + "}" for c in cliques),
         f"fit: deviance {fit.deviance:.4f} on {fit.df} df (p = {fit.p_value:.4f})",
     ]
     _emit(args, payload, lines)

@@ -4,7 +4,9 @@ A model is named by its generating class: the maximal interaction sets,
 which for a graphical model are the cliques of its concentration graph.
 Fitting is by iterative proportional fitting (IPF), which cyclically
 rescales the table to match each generator margin and converges to the
-maximum-likelihood fitted counts.
+maximum-likelihood fitted counts.  A conditional-independence model
+a _||_ b | c is decomposable and is fitted in closed form instead
+(``measures.independence_fit``).
 
 Conventions used throughout:
   deviance  = 2 sum n log(n / m),  with 0 log 0 = 0;
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs
-from .measures import deviance_of, pearson_of
+from .measures import deviance_of, independence_fit, pearson_of
 from .special import chi2_sf
 from .tables import ContingencyTable, DataError, Schema, term_columns
 
@@ -162,10 +165,10 @@ def fit_closed_form_casecontrol(observed: ContingencyTable,
     """Closed-form joint estimate from a four-variable case-control table.
 
     The case slice (response = 1) is left saturated: fitted counts equal the
-    observed ones.  The control slice is fitted by ``fit_ipf`` with the joint
-    margin of the first two regressors independent of the third; its MLE has
-    the closed form m[j, k, l] = n[j, k, +] * n[+, +, l] / n_total, which IPF
-    reaches in one sweep.  Regressors are taken in schema order.
+    observed ones.  The control slice is fitted with the joint margin of the
+    first two regressors independent of the third, whose MLE has the closed
+    form m[j, k, l] = n[j, k, +] * n[+, +, l] / n_total.  Regressors are
+    taken in schema order.
     """
     if len(observed.schema) != 4:
         raise DataError("closed form needs the response plus exactly three regressors")
@@ -174,33 +177,28 @@ def fit_closed_form_casecontrol(observed: ContingencyTable,
     controls = observed.slice_l(response, 0)
     if controls.total <= 0:
         raise DataError("control slice is empty")
-    regressors = controls.variables
-    spec = LoglinearSpec(controls.schema, (regressors[:2], regressors[2:]))
     return CaseControlClosedForm(
         cases=ContingencyTable(cases.schema, cases.counts),
-        controls=fit_ipf(controls, spec).fitted,
+        controls=ContingencyTable(controls.schema,
+                                  independence_fit(controls.counts, (0, 1), (2,))),
     )
 
 
 # -- sequential deviance decomposition --------------------------------------
 
-def independence_spec(schema: Schema, stmt: graphs.IndependenceStatement) -> LoglinearSpec:
-    """Log-linear spec whose only constraint is a _||_ b | c; the schema must
-    consist of exactly a + b + c."""
-    names = set(schema.variables)
-    if stmt.a | stmt.b | stmt.c != names:
-        raise DataError("statement variables must cover the margin exactly")
-    return LoglinearSpec(schema, (tuple(stmt.a | stmt.c), tuple(stmt.b | stmt.c)))
-
-
-def independence_test(observed: ContingencyTable, stmt: graphs.IndependenceStatement,
-                      tol: float = DEFAULT_TOL) -> tuple[float, int]:
+def independence_test(observed: ContingencyTable,
+                      stmt: graphs.IndependenceStatement) -> tuple[float, int]:
     """Likelihood-ratio statistic and df for a _||_ b | c in the margin of
-    the variables it mentions."""
+    the variables it mentions, against the closed-form fit n(ac) n(bc) / n(c)
+    on 2^|c| (2^|a| - 1) (2^|b| - 1) df."""
     margin = observed.marginalize(stmt.a | stmt.b | stmt.c)
-    spec = independence_spec(margin.schema, stmt)
-    fit = fit_ipf(margin, spec, tol=tol)
-    return fit.deviance, fit.df
+    if margin.total <= 0:
+        raise DataError("cannot fit an empty table")
+    axes = margin.schema.axis
+    fitted = independence_fit(margin.counts, [axes(v) for v in stmt.a],
+                              [axes(v) for v in stmt.b])
+    df = 2 ** len(stmt.c) * (2 ** len(stmt.a) - 1) * (2 ** len(stmt.b) - 1)
+    return deviance_of(margin.counts, fitted), df
 
 
 def deviance_decomposition(observed: ContingencyTable,
@@ -225,7 +223,7 @@ def deviance_decomposition(observed: ContingencyTable,
         if prev_margin is not None and not margin <= prev_margin:
             raise DataError("each margin must be contained in the previous one")
         prev_margin = margin
-        out.append(independence_test(observed.marginalize(margin), stmt))
+        out.append(independence_test(observed, stmt))
     return out
 
 
@@ -280,6 +278,10 @@ def forward_select(observed: ContingencyTable, alpha: float, tol: float = DEFAUL
     that bound is below ``alpha`` and below the best exact (p, edge) of the
     round, so the selected graph is the one that fitting every candidate
     would give.
+
+    Prime-piece fits that stop at ``max_iter`` before reaching ``tol`` rank
+    candidates by unconverged deviances; one ``RuntimeWarning`` per call
+    gives their count.
     """
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
@@ -324,6 +326,10 @@ def forward_select(observed: ContingencyTable, alpha: float, tol: float = DEFAUL
             break
         _, edge, current_dev, adj = best
         edges.add(edge)
+    if pieces.unconverged:
+        warnings.warn(f"forward selection: {pieces.unconverged} of {pieces.fits} piece fits"
+                      f" did not converge after {max_iter} sweeps", RuntimeWarning,
+                      stacklevel=2)
     return graphs.full_line_graph(nodes, edges)
 
 
@@ -383,7 +389,8 @@ def _split(mask: int, adj):
 class _Pieces:
     """Entropies H(A) = sum n log n of the margins of one observed table and
     deviances of graphical models in them, memoized in plain containers that
-    live as long as the instance."""
+    live as long as the instance.  ``fits`` and ``unconverged`` count the
+    prime-piece fits and those that stopped at ``max_iter``."""
 
     def __init__(self, observed: ContingencyTable, tol: float, max_iter: int):
         self.observed = observed
@@ -391,6 +398,7 @@ class _Pieces:
         self.max_iter = max_iter
         self.entropies: dict[int, float] = {}
         self.deviances: dict[int, float] = {}
+        self.fits = self.unconverged = 0
 
     def entropy(self, mask: int) -> float:
         if mask not in self.entropies:
@@ -436,7 +444,10 @@ class _Pieces:
         pairs = [(names[v], names[w]) for v in _bits(mask) for w in _bits(adj[v] & mask) if w > v]
         margin = self.observed.marginalize([names[v] for v in _bits(mask)])
         spec = clique_spec(margin.schema, graphs.full_line_graph(margin.variables, pairs))
-        return fit_ipf(margin, spec, tol=self.tol, max_iter=self.max_iter).deviance
+        fit = fit_ipf(margin, spec, tol=self.tol, max_iter=self.max_iter)
+        self.fits += 1
+        self.unconverged += not fit.converged
+        return fit.deviance
 
 
 # -- variances of fitted log-count contrasts --------------------------------

@@ -161,11 +161,25 @@ def pearson_of(observed: np.ndarray, fitted: np.ndarray) -> float:
     return float(np.sum((obs[pos] - fit[pos]) ** 2 / fit[pos]))
 
 
+def independence_fit(counts: np.ndarray, a_axes, b_axes) -> np.ndarray:
+    """Fitted counts of a _||_ b | c, with c every axis of ``counts`` outside
+    ``a_axes`` and ``b_axes``: n(ac) n(bc) / n(c), and 0 where n(c) = 0.
+
+    The model is decomposable, so this closed form is its maximum-likelihood
+    fit (Bishop, Fienberg & Holland 1975, ch. 3) and no iteration is needed.
+    """
+    n_ac = counts.sum(axis=tuple(b_axes), keepdims=True)
+    n_bc = counts.sum(axis=tuple(a_axes), keepdims=True)
+    n_c = n_ac.sum(axis=tuple(a_axes), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n_c > 0, n_ac * n_bc / n_c, 0.0)
+
+
 def chi_squares(t: TwoByTwo) -> tuple[float, float]:
-    """(likelihood-ratio, Pearson) chi-square statistics for independence,
-    against the fit outer(factor margins, response margins) / n."""
+    """(likelihood-ratio, Pearson) chi-square statistics for independence of
+    factor (rows) and response (columns)."""
     obs = np.array([[t.n11, t.n10], [t.n01, t.n00]])
-    fit = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / t.total
+    fit = independence_fit(obs, (0,), (1,))
     return deviance_of(obs, fit), pearson_of(obs, fit)
 
 

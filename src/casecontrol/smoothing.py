@@ -226,8 +226,7 @@ class CollapsibilityReport:
 def _condition_test(t: ContingencyTable, a: str, b: str, *given: str) -> dict:
     stmt = IndependenceStatement(frozenset({a}), frozenset({b}), frozenset(given))
     dev, df = independence_test(t, stmt)
-    return {"statement": str(stmt), "deviance": dev, "df": df,
-            "p": chi2_sf(dev, df) if df > 0 else 1.0}
+    return {"statement": str(stmt), "deviance": dev, "df": df, "p": chi2_sf(dev, df)}
 
 
 def _close(x, y, rel_tol):

@@ -328,7 +328,8 @@ def test_select_warns_when_the_reported_fit_stops_early(capsys):
     code, out, err = run(capsys, "select", "--max-iter", "1")
     assert code == 0
     assert "fit: deviance 27.8691 on 38 df" in out
-    assert err == unconverged("selected model", "1 sweeps")
+    assert err == ("warning: forward selection: 14 of 14 piece fits did not converge"
+                   " after 1 sweeps\n" + unconverged("selected model", "1 sweeps"))
 
 
 def test_smooth_warns_for_each_slice_fit_that_stops_early(capsys):

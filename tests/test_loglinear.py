@@ -1,5 +1,6 @@
 import gc
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from casecontrol import (
 )
 from casecontrol import graphs, loglinear
 from casecontrol.graphs import full_line_graph
+from casecontrol.measures import independence_fit
 from casecontrol.loglinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -67,13 +69,15 @@ def test_parameter_count():
 
 @settings(max_examples=80, deadline=None)
 @given(table_strategy(min_vars=2, max_vars=2, min_count=1))
-def independence_test_fit_closed_form_2x2(t):
+def test_independence_fit_closed_form_2x2(t):
     fit = fit_ipf(t, spec_for(t, ("A",), ("B",)))
+    closed = independence_fit(t.counts, (0,), (1,))
     n = t.total
     for (i, j), _ in t.cells():
         row = t.marginalize({"A"}).cell({"A": i})
         col = t.marginalize({"B"}).cell({"B": j})
         assert fit.fitted.cell({"A": i, "B": j}) == pytest.approx(row * col / n, rel=1e-10)
+        assert closed[i, j] == pytest.approx(row * col / n, rel=1e-10)
 
 
 def test_saturated_fit_has_zero_deviance(study):
@@ -127,7 +131,6 @@ def test_fit_requires_matching_schema(study, cases):
 
 def test_nonconvergence_is_flagged_not_raised(study):
     # a non-decomposable model cannot settle in a single sweep
-    spec = spec_for(study, ("L", "V"), ("V", "C"), ("C", "L"))
     obs = study.marginalize({"L", "V", "C"})
     spec = LoglinearSpec(obs.schema, (("L", "V"), ("V", "C"), ("C", "L")))
     fit = fit_ipf(obs, spec, tol=1e-12, max_iter=1)
@@ -286,6 +289,60 @@ def test_peel_decomposition_telescopes(t, data):
     assert sum(df for _, df in steps) == joint_df
 
 
+@st.composite
+def table_and_statement(draw):
+    """A 2-6 variable table with many zero cells, a statement a _||_ b | c
+    over some of its variables, and some c-strata of the table emptied."""
+    t = draw(table_strategy(min_vars=2, max_vars=6, max_count=5))
+    names = t.variables
+    roles = draw(st.lists(st.sampled_from("abc-"), min_size=len(names), max_size=len(names))
+                 .filter(lambda r: "a" in r and "b" in r))
+    a, b, c = (frozenset(v for v, r in zip(names, roles) if r == role) for role in "abc")
+    c_axes = [names.index(v) for v in sorted(c)]
+    counts = t.counts.copy()
+    strata = st.tuples(*(st.integers(0, 1) for _ in c_axes))
+    for levels in draw(st.lists(strata, max_size=2 ** len(c_axes))) if c_axes else ():
+        index = [slice(None)] * len(names)
+        for axis, level in zip(c_axes, levels):
+            index[axis] = level
+        counts[tuple(index)] = 0.0
+    table = ContingencyTable(t.schema, counts, zero_total=counts.sum() == 0)
+    return table, IndependenceStatement(a, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_and_statement())
+def test_independence_test_matches_ipf_reference(case):
+    """The closed-form deviance and df against an IPF fit of {a,c}{b,c} in
+    the margin of the statement."""
+    t, stmt = case
+    margin = t.marginalize(stmt.a | stmt.b | stmt.c)
+    spec = LoglinearSpec(margin.schema, (tuple(stmt.a | stmt.c), tuple(stmt.b | stmt.c)))
+    if margin.total == 0:
+        with pytest.raises(DataError, match="empty"):
+            independence_test(t, stmt)
+        with pytest.raises(DataError, match="empty"):
+            fit_ipf(margin, spec)
+        return
+    dev, df = independence_test(t, stmt)
+    ref = fit_ipf(margin, spec)
+    assert ref.converged
+    assert dev == pytest.approx(ref.deviance, rel=1e-9, abs=1e-9)
+    assert df == ref.df
+    axes = margin.schema.axis
+    fitted = independence_fit(margin.counts, [axes(v) for v in stmt.a], [axes(v) for v in stmt.b])
+    np.testing.assert_allclose(fitted, ref.fitted.counts, rtol=1e-9, atol=1e-9)
+
+
+def test_closed_form_fits_run_no_ipf(study, cases, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_ipf called")
+
+    monkeypatch.setattr(loglinear, "fit_ipf", refuse)
+    fit_closed_form_casecontrol(study.marginalize({"L", "V", "C", "R"}))
+    deviance_decomposition(cases, peel_sequence("E", ("A", "R", "V", "C")))
+
+
 def test_decomposition_rejects_bad_sequences(cases):
     stmt = IndependenceStatement(frozenset("E"), frozenset("A"), frozenset({"V", "C", "R"}))
     with pytest.raises(DataError, match="margin"):
@@ -327,6 +384,16 @@ def test_forward_select_independent_simulation():
     t = ContingencyTable(Schema(tuple("ABCDE")), counts)
     g = forward_select(t, alpha=0.001)
     assert edge_names(g) == []
+
+
+def test_forward_select_warns_once_of_unconverged_piece_fits(study):
+    with pytest.warns(RuntimeWarning) as record:
+        forward_select(study, alpha=0.2, max_iter=1)
+    assert [str(w.message) for w in record] == [
+        "forward selection: 14 of 14 piece fits did not converge after 1 sweeps"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forward_select(study, alpha=0.2)
 
 
 def test_forward_select_alpha_validation(cases):

@@ -380,6 +380,20 @@ def test_analytic_construction_is_exactly_collapsible():
     assert rep.condition_tests["a_indep_over_given_b"]["deviance"] <= 1e-8
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(500, 2000), min_size=4, max_size=4),
+       st.lists(st.integers(500, 2000), min_size=4, max_size=4))
+def test_large_count_exact_independence_holds_exactly(x, y):
+    """n(a, b, c) = x(a, b) y(b, c) in integers of about 1e6, so A _||_ C | B
+    holds exactly; its deviance stays below the exact-mode threshold."""
+    counts = np.array(x, float).reshape(2, 2, 1) * np.array(y, float).reshape(1, 2, 2)
+    t = ContingencyTable(Schema(("A", "B", "C")), counts)
+    rep = check_or_collapsibility(t, "A", "B", "C")
+    assert rep.condition_tests["a_indep_over_given_b"]["deviance"] <= 1e-8
+    assert rep.which_condition in ("a_indep_over_given_b", "both")
+    assert rep.collapsible
+
+
 def test_collapsibility_undefined_ratios_reported():
     t = from_cells(("A", "B", "C"),
                    {(1, 1, 0): 4.0, (0, 0, 0): 5.0, (1, 0, 0): 3.0,
