@@ -135,17 +135,17 @@ def _stratum_label(names, levels) -> str:
     return ",".join(f"{v}={l}" for v, l in zip(names, levels))
 
 
-def _warn_unconverged(label: str, fit, unit: str = "sweeps") -> None:
-    """One stderr line for a reported fit that did not converge; stdout and
-    the exit code stay as they are."""
+def _warn_unconverged(label: str, fit, unit: str = "sweeps", detail: str = "") -> None:
+    """One stderr line for a reported fit that did not converge, ending in
+    ``detail`` when given; stdout and the exit code stay as they are."""
     if not fit.converged:
-        print(f"warning: {label} did not converge after {fit.iterations} {unit}",
-              file=sys.stderr)
+        print(f"warning: {label} did not converge after {fit.iterations} {unit}"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -260,7 +260,7 @@ def cmd_fit_logit(args) -> int:
     t = _read_table(args)
     formula = logit.parse_formula(args.formula)
     fit = logit.fit_logit(t, formula, tol=args.tol, max_iter=args.max_iter)
-    _warn_unconverged("logit fit", fit, "iterations")
+    _warn_unconverged("logit fit", fit, "iterations", fit.message)
     single = all(len(v) == 1 for v in fit.regressors)
 
     def disp(term):
@@ -274,9 +274,9 @@ def cmd_fit_logit(args) -> int:
     maximal = {logit.term_name(term) for term in fit.formula.terms
                if not any(set(term) < set(o) for o in fit.formula.terms)}
     for name in fit.coefficients:
-        z = f"{fit.z_obs[name]:7.2f}" if name in maximal else "    ---"
+        z = f"{_fmt(fit.z_obs[name], 2):>7}" if name in maximal else "    ---"
         lines.append(f"  {disp(name):<10} {fit.coefficients[name]:8.2f}"
-                     f" {fit.se[name]:7.2f} {z}")
+                     f" {_fmt(fit.se[name], 2):>7} {z}")
     payload = {
         "formula": str(formula),
         "deviance": fit.deviance_vs_saturated,

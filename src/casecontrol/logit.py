@@ -176,8 +176,9 @@ class LogitFit:
     """Maximum-likelihood fit of a logit model over regressor cells.
 
     Coefficient maps are keyed by term name (colon-joined variables, with
-    ``(const)`` for the intercept).  ``fitted_probabilities`` is keyed by
-    the regressor-cell level tuple, in ``regressors`` order.
+    ``(const)`` for the intercept).  An undefined standard error or z value
+    is ``None``.  ``fitted_probabilities`` is keyed by the regressor-cell
+    level tuple, in ``regressors`` order.
     """
 
     formula: LogitFormula
@@ -219,6 +220,11 @@ def _grouped(observed: ContingencyTable, response: str):
     return regressors, pairs[:, 1], pairs[:, 0] + pairs[:, 1]
 
 
+def _expit(eta):
+    with np.errstate(over="ignore"):  # exp(-eta) = inf is p = 0
+        return 1.0 / (1.0 + np.exp(-eta))
+
+
 def _binomial_loglik(y, n, eta):
     # log-likelihood up to the constant binomial coefficients
     return float(np.sum(y * eta - n * np.logaddexp(0.0, eta)))
@@ -256,7 +262,7 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
     info = None
     for iterations in range(1, max_iter + 1):
         eta = X @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
+        p = _expit(eta)
         score = X.T @ (y - n * p)
         w = n * p * (1.0 - p)
         info = X.T @ (X * w[:, None])
@@ -295,23 +301,24 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         # numerically while the MLE sits at infinity
         converged = False
         message = "fitted probabilities numerically 0 or 1 (separation)"
-    p = 1.0 / (1.0 + np.exp(-eta))
+    p = _expit(eta)
     mu = n * p
     dev = deviance_of(np.concatenate([y, n - y]), np.concatenate([mu, n - mu]))
 
     w = n * p * (1.0 - p)
     info = X.T @ (X * w[:, None])
     try:
-        cov = np.linalg.inv(info)
-        se_vec = np.sqrt(np.diag(cov))
+        variances = np.diag(np.linalg.inv(info)).tolist()
     except np.linalg.LinAlgError:
-        se_vec = np.full(X.shape[1], np.nan)
+        variances = [math.nan] * X.shape[1]
 
     names = ["(const)"] + f.term_names()
     coefficients = dict(zip(names, beta.tolist()))
-    se = dict(zip(names, se_vec.tolist()))
-    z = {name: (coefficients[name] / se[name] if se[name] and math.isfinite(se[name]) else math.nan)
-         for name in names}
+    # a singular information matrix or a negative variance leaves the SE
+    # undefined, and a zero or undefined SE leaves z undefined
+    se = {name: math.sqrt(v) if 0 <= v < math.inf else None
+          for name, v in zip(names, variances)}
+    z = {name: coefficients[name] / se[name] if se[name] else None for name in names}
     return LogitFit(
         formula=f,
         regressors=regressors,
@@ -350,7 +357,7 @@ def loglik_and_gradient(observed: ContingencyTable, f: LogitFormula,
     X = _design(f, regressors, np.arange(len(y)))
     beta = np.asarray(beta, dtype=float)
     eta = X @ beta
-    p = 1.0 / (1.0 + np.exp(-eta))
+    p = _expit(eta)
     return _binomial_loglik(y, n, eta), X.T @ (y - n * p)
 
 

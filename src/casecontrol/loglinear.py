@@ -100,6 +100,10 @@ def _margin_axes(schema: Schema, names) -> tuple[int, ...]:
     return tuple(sorted(schema.axis(n) for n in names))
 
 
+def _margin(table: np.ndarray, drop) -> np.ndarray:
+    return np.add.reduce(table, axis=drop, keepdims=True)
+
+
 def fit_ipf(observed: ContingencyTable, spec: LoglinearSpec,
             tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> LoglinearFit:
     """Fit a hierarchical log-linear model by iterative proportional fitting.
@@ -120,23 +124,27 @@ def fit_ipf(observed: ContingencyTable, spec: LoglinearSpec,
     k = obs.ndim
     gen_axes = [_margin_axes(spec.schema, g) for g in spec.generators]
     drop_axes = [tuple(i for i in range(k) if i not in axes) for axes in gen_axes]
-    obs_margins = [obs.sum(axis=drop, keepdims=True) for drop in drop_axes]
+    margins = [(_margin(obs, drop), drop) for drop in drop_axes]
 
+    # The first margin of sweep s + 1 is also the first gap of sweep s: a
+    # gap of at least tol there rules out convergence without the full check.
+    om0, drop0 = margins[0]
     fit = np.ones_like(obs)
+    fm0 = _margin(fit, drop0)
     gap = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        for om, drop in zip(obs_margins, drop_axes):
-            fm = fit.sum(axis=drop, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(fm > 0, om / np.where(fm > 0, fm, 1.0), 0.0)
-            fit = fit * ratio
-        gap = max(
-            float(np.max(np.abs(om - fit.sum(axis=drop, keepdims=True))))
-            for om, drop in zip(obs_margins, drop_axes)
-        )
-        if gap < tol:
-            break
+    while iterations < max_iter:
+        iterations += 1
+        for i, (om, drop) in enumerate(margins):
+            fm = fm0 if i == 0 else _margin(fit, drop)
+            fit *= np.divide(om, fm, out=np.zeros_like(fm), where=fm > 0)
+        fm0 = _margin(fit, drop0)
+        gaps = [float(np.max(np.abs(om0 - fm0)))]
+        if gaps[0] < tol or iterations == max_iter:
+            gaps += [float(np.max(np.abs(om - _margin(fit, drop)))) for om, drop in margins[1:]]
+            gap = max(gaps)
+            if gap < tol:
+                break
     converged = gap < tol
 
     return LoglinearFit(
@@ -198,7 +206,9 @@ def independence_test(observed: ContingencyTable,
     fitted = independence_fit(margin.counts, [axes(v) for v in stmt.a],
                               [axes(v) for v in stmt.b])
     df = 2 ** len(stmt.c) * (2 ** len(stmt.a) - 1) * (2 ** len(stmt.b) - 1)
-    return deviance_of(margin.counts, fitted), df
+    # the fitted and observed totals agree, so the statistic is >= 0 and a
+    # negative value is rounding
+    return max(0.0, deviance_of(margin.counts, fitted)), df
 
 
 def deviance_decomposition(observed: ContingencyTable,

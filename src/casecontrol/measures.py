@@ -180,7 +180,8 @@ def chi_squares(t: TwoByTwo) -> tuple[float, float]:
     factor (rows) and response (columns)."""
     obs = np.array([[t.n11, t.n10], [t.n01, t.n00]])
     fit = independence_fit(obs, (0,), (1,))
-    return deviance_of(obs, fit), pearson_of(obs, fit)
+    # the totals agree, so a negative likelihood-ratio statistic is rounding
+    return max(0.0, deviance_of(obs, fit)), pearson_of(obs, fit)
 
 
 @dataclass(frozen=True)

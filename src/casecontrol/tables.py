@@ -234,19 +234,73 @@ def ingest(cells_text: str) -> ContingencyTable:
     One row per cell, level labels ``0``/``1``, counts as decimal reals.
     Cells absent from the file are zero.  Duplicate addresses, negative
     counts and unknown level labels are errors.
+
+    A plain file (no quotes, padding, blank lines or carriage returns) is
+    decoded as arrays; anything else, and any plain file that fails a check,
+    goes through the row checker, so both give the same tables and messages.
     """
-    reader = csv.reader(io.StringIO(cells_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("no data rows") from None
+    table = _ingest_plain(cells_text)
+    return table if table is not None else _ingest_rows(cells_text)
+
+
+def _header_schema(header) -> Schema:
+    """Schema of the variable names in a cell-CSV header's fields."""
     header = [h.strip() for h in header]
     if len(header) < 2 or header[-1] != "count":
         raise DataError("header must name variables followed by a final 'count' column")
     names = tuple(header[:-1])
     if "count" in names:
         raise DataError("'count' is reserved for the count column")
-    schema = Schema(names)
+    return Schema(names)
+
+
+def _ingest_plain(cells_text: str) -> ContingencyTable | None:
+    """The table of a plain file whose every data row is k ``0``/``1`` labels,
+    each followed by ``,``, and then a count; ``None`` on any doubt."""
+    if not cells_text or any(c in cells_text for c in '" \r\t'):
+        return None
+    header, _, body = cells_text.partition("\n")
+    rows = body.split("\n")
+    if rows[-1] == "":
+        rows.pop()
+    # csv.reader refuses a field above its limit; leave that to the row checker
+    if not header or not rows or max(len(header), *map(len, rows)) > csv.field_size_limit():
+        return None
+    schema = _header_schema(header.split(","))
+    k = len(schema)
+    width = 2 * k
+    try:
+        prefixes = "".join([row[:width] for row in rows]).encode("ascii")
+        counts = np.array([float(row[width:]) for row in rows])
+    except (UnicodeEncodeError, ValueError):
+        return None
+    # every prefix is k labels, each followed by a comma (float() refuses a
+    # count that holds one)
+    labels, commas = prefixes[0::2], prefixes[1::2]
+    if (len(prefixes) != width * len(rows) or labels.translate(None, b"01")
+            or commas.count(b",") != len(commas)):
+        return None
+    bits = np.frombuffer(labels.translate(bytes.maketrans(b"01", b"\0\1")), dtype=np.uint8)
+    flat = np.ravel_multi_index(bits.reshape(len(rows), k).T, (2,) * k)
+    if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+        return None
+    if np.bincount(flat, minlength=1 << k).max() > 1:
+        return None
+    arr = np.zeros(1 << k)
+    arr[flat] = counts
+    return ContingencyTable(schema, arr)
+
+
+def _ingest_rows(cells_text: str) -> ContingencyTable:
+    """The row checker: parses any cell-CSV text with ``csv.reader`` and
+    names the line of the first malformed row."""
+    reader = csv.reader(io.StringIO(cells_text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("no data rows") from None
+    schema = _header_schema(header)
+    names = schema.variables
     k = len(names)
     level_of = {label: level for level, label in enumerate(LEVELS)}
     arr = np.zeros(2 ** k)
@@ -255,8 +309,8 @@ def ingest(cells_text: str) -> ContingencyTable:
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not f.strip() for f in row):
             continue
-        if len(row) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        if len(row) != k + 1:
+            raise DataError(f"line {lineno}: expected {k + 1} fields, got {len(row)}")
         flat = 0
         for name, label in zip(names, row):
             level = level_of.get(label.strip())
@@ -284,12 +338,16 @@ def emit(table: ContingencyTable) -> str:
     """Serialize to cell-CSV, rows sorted lexicographically by schema order.
 
     Counts are written with ``%.17g`` so that ``ingest(emit(t)) == t``
-    exactly, and the output is byte-stable for a given table.
+    exactly, and the output is byte-stable for a given table.  Only the
+    header goes through ``csv.writer``, which quotes names where needed;
+    level labels and ``%.17g`` strings never need quoting.
     """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(table.variables) + ["count"])
-    labels = itertools.product(LEVELS, repeat=len(table.variables))
-    writer.writerows([*levels, format(count, ".17g")]
-                     for levels, count in zip(labels, table.counts.ravel().tolist()))
+    csv.writer(out, lineterminator="\n").writerow([*table.variables, "count"])
+    # "0,1,...," per cell in C order, the first variable varying slowest
+    prefixes = [""]
+    for _ in table.variables:
+        prefixes = [prefix + label for prefix in prefixes for label in ("0,", "1,")]
+    out.write("".join([prefix + format(count, ".17g") + "\n"
+                       for prefix, count in zip(prefixes, table.counts.ravel().tolist())]))
     return out.getvalue()

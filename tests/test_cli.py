@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casecontrol
-from casecontrol.cli import COMMAND_OPERATIONS, build_parser, main
+from casecontrol.cli import COMMAND_OPERATIONS, _emit, build_parser, main
 from casecontrol.data import bundled_dataset_text
 
 
@@ -344,7 +346,7 @@ def test_smooth_warns_for_each_slice_fit_that_stops_early(capsys):
     (["fit-loglinear", "--generators", "V,C;C,R;V,R", "--max-iter", "2"],
      unconverged("log-linear fit", "2 sweeps")),
     (["fit-logit", "--formula", "L : V*C*R + A*E", "--max-iter", "1"],
-     unconverged("logit fit", "1 iterations")),
+     unconverged("logit fit", "1 iterations: no convergence within 1 iterations")),
 ])
 def test_fits_that_stop_early_warn_on_stderr(capsys, argv, warning):
     code, _, err = run(capsys, *argv)
@@ -526,11 +528,47 @@ def test_fitted_odds_ratio_at_a_probability_of_1(capsys, tmp_path):
     path.write_text(SEPARATED, encoding="utf-8")
     argv = ["fit-logit", "--data", str(path), "--formula", "L : V + C", "--or-pair", "L,V"]
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, unconverged("logit fit", "25 iterations"))
+    assert (code, err) == (0, unconverged(
+        "logit fit", "25 iterations: fitted probabilities numerically 0 or 1 (separation)"))
     assert "    C=0                  -\n" in out
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["fitted_odds_ratios"]["C=0"] is None
+
+
+def without_v(text):
+    """The bundled cell-CSV text with every V=1 cell set to 0."""
+    lines = text.splitlines()
+    rows = [ln.split(",") for ln in lines[1:]]
+    return "\n".join([lines[0], *(",".join(r[:-1] + ["0" if r[1] == "1" else r[-1]])
+                                  for r in rows)]) + "\n"
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_undefined_ses_print_as_dash_and_null(capsys, tmp_path):
+    # V is never 1: the information matrix is singular and no SE is defined
+    path = tmp_path / "no_v.csv"
+    path.write_text(without_v(bundled_dataset_text()), encoding="utf-8")
+    argv = ["fit-logit", "--data", str(path), "--formula", "L : V + C + R"]
+    warning = unconverged(
+        "logit fit", "1 iterations: singular information matrix (separation or collinear terms)")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, warning)
+    assert "  V              0.00       -       -\n" in out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, warning)
+    terms = strict_json(out)["terms"]
+    assert [(t["se"], t["z"]) for t in terms] == [(None, None)] * 4
+
+
+def test_json_output_refuses_nan():
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _emit(argparse.Namespace(format="json"), {"se": math.nan}, [])
 
 
 # -- property: every argv ends in exit 0, 1 or 2, never in a traceback -----------------
@@ -570,7 +608,7 @@ FILES = {
 }
 TEXTS = {"not_json": "{nodes", "data_ok": bundled_dataset_text(),
          "data_duplicate": "A,B,count\n0,0,1\n0,0,2\n", "data_nan": "A,count\n0,1\n1,nan\n",
-         "data_separated": SEPARATED}
+         "data_separated": SEPARATED, "data_no_v": without_v(bundled_dataset_text())}
 
 
 @pytest.fixture(scope="module")
@@ -584,7 +622,7 @@ def argv_cases(tmp_path_factory):
     path["binary"] = str(root / "binary")
     Path(path["binary"]).write_bytes(b"\xff\xfe\x00")
     bad = [path[n] for n in ("missing", "not_json", "number", "binary")]
-    data = pool([path["data_ok"], path["data_separated"]],
+    data = pool([path["data_ok"], path["data_separated"], path["data_no_v"]],
                 [path["data_duplicate"], path["data_nan"], *bad])
     # every file is a reader's input, so malformed ones are as likely as valid ones
     models = st.sampled_from([path[n] for n in FILES if n.startswith("model_")] + bad)
@@ -653,5 +691,7 @@ def test_every_argv_exits_cleanly(argv_cases):
                 code = exc.code
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
+        if code == 0 and "json" in argv:
+            strict_json(out.getvalue())  # no NaN or Infinity on stdout
 
     check()

@@ -492,3 +492,41 @@ def test_fitted_odds_ratio_of_a_stratum_is_its_last_pair(study):
     # the omitted A varies fastest in C order of the cells, so A=1 comes last
     assert collapsed == {(r, c): full[(r, 1, c)] for r, c in collapsed}
     assert collapsed != {(r, c): full[(r, 0, c)] for r, c in collapsed}
+
+
+# -- undefined standard errors and numpy warnings ------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_negative_variance_gives_no_se_and_no_warning():
+    # separation drives exp(-eta) past overflow, and the inverse information
+    # matrix has negative diagonal entries
+    t = ContingencyTable(Schema(("L", "A", "B", "C")),
+                         np.array([0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 3, 0, 0], float))
+    fit = fit_logit(t, parse_formula("L : A*B + C"))
+    assert not fit.converged
+    assert fit.se["A"] is None and fit.z_obs["A"] is None
+    assert fit.z_obs["C"] == fit.coefficients["C"] / fit.se["C"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_probabilities_underflow_to_zero_without_a_warning(study):
+    # exp(-eta) overflows to inf at eta = -1000: p is 0, the gradient finite
+    f = parse_formula("L : V")
+    loglik, grad = loglik_and_gradient(study, f, np.array([-1000.0, 0.0]))
+    assert math.isfinite(loglik) and np.all(np.isfinite(grad))
+    assert grad[0] == study.slice_l("L", 1).total
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=logit_problems())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fits_raise_no_numpy_warnings_and_ses_are_finite(problem):
+    t, f, _, _ = problem
+    try:
+        fit = fit_logit(t, f)
+    except DataError:
+        return  # more terms than occupied cells
+    for name, se in fit.se.items():
+        assert se is None or 0 <= se < math.inf
+        z = fit.z_obs[name]
+        assert z == (fit.coefficients[name] / se if se else None)

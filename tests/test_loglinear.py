@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from casecontrol import (
 )
 from casecontrol import graphs, loglinear
 from casecontrol.graphs import full_line_graph
-from casecontrol.measures import independence_fit
+from casecontrol.measures import deviance_of, independence_fit, pearson_of
 from casecontrol.loglinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -192,6 +193,75 @@ def test_empty_table_rejected():
         fit_ipf(t, LoglinearSpec(t.schema, (("B",),)))
 
 
+def parent_fit_ipf(observed, spec, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """IPF with a full margin pass for the gap check after every sweep: the
+    loop that the shared first margin replaced, kept verbatim."""
+    obs = observed.counts
+    k = obs.ndim
+    gen_axes = [loglinear._margin_axes(spec.schema, g) for g in spec.generators]
+    drop_axes = [tuple(i for i in range(k) if i not in axes) for axes in gen_axes]
+    obs_margins = [obs.sum(axis=drop, keepdims=True) for drop in drop_axes]
+
+    fit = np.ones_like(obs)
+    gap = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        for om, drop in zip(obs_margins, drop_axes):
+            fm = fit.sum(axis=drop, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(fm > 0, om / np.where(fm > 0, fm, 1.0), 0.0)
+            fit = fit * ratio
+        gap = max(
+            float(np.max(np.abs(om - fit.sum(axis=drop, keepdims=True))))
+            for om, drop in zip(obs_margins, drop_axes)
+        )
+        if gap < tol:
+            break
+    converged = gap < tol
+
+    return loglinear.LoglinearFit(
+        fitted=ContingencyTable(spec.schema, fit, zero_total=float(fit.sum()) == 0.0),
+        deviance=deviance_of(obs, fit),
+        pearson_chi2=pearson_of(obs, fit),
+        df=spec.df(),
+        iterations=iterations,
+        converged=converged,
+        max_margin_gap=gap,
+    )
+
+
+@st.composite
+def ipf_cases(draw):
+    """A 3-7 variable table with integer or real counts and many zeros, a
+    model of random generators, often with a cycle, a tolerance and a sweep
+    budget."""
+    k = draw(st.integers(3, 7))
+    cell = (st.integers(0, 40).map(float) if draw(st.booleans())
+            else st.floats(0, 1e6, allow_subnormal=False) | st.just(0.0))
+    counts = draw(st.lists(cell, min_size=2 ** k, max_size=2 ** k).filter(lambda xs: sum(xs) > 0))
+    t = ContingencyTable(Schema(tuple("ABCDEFG"[:k])), np.array(counts))
+    gens = draw(st.lists(st.sets(st.sampled_from(t.variables), min_size=1, max_size=k - 1),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):  # a chordless cycle of pairs: IPF needs many sweeps
+        cycle = draw(st.permutations(t.variables))[:draw(st.integers(3, k))]
+        gens += [{u, v} for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    return (t, LoglinearSpec(t.schema, tuple(tuple(sorted(g)) for g in gens)),
+            draw(st.sampled_from((1e-4, 1e-8, 1e-11))),
+            draw(st.sampled_from((1, 2, 3, 50, 10000))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ipf_cases())
+def test_fit_ipf_matches_the_full_gap_pass_byte_for_byte(case):
+    t, spec, tol, max_iter = case
+    fit, ref = fit_ipf(t, spec, tol, max_iter), parent_fit_ipf(t, spec, tol, max_iter)
+    assert fit.fitted.counts.tobytes() == ref.fitted.counts.tobytes()
+    assert fit.fitted.zero_total == ref.fitted.zero_total
+    assert (fit.iterations, fit.converged, fit.df) == (ref.iterations, ref.converged, ref.df)
+    for name in ("max_margin_gap", "deviance", "pearson_chi2"):
+        assert repr(getattr(fit, name)) == repr(getattr(ref, name)), name
+
+
 # -- closed-form case-control estimator -----------------------------------------
 
 def test_closed_form_control_estimates(study):
@@ -332,6 +402,41 @@ def test_independence_test_matches_ipf_reference(case):
     axes = margin.schema.axis
     fitted = independence_fit(margin.counts, [axes(v) for v in stmt.a], [axes(v) for v in stmt.b])
     np.testing.assert_allclose(fitted, ref.fitted.counts, rtol=1e-9, atol=1e-9)
+
+
+def exactly_independent(rng, total=8e6):
+    """A float (A, B, C) table of the given total with A _||_ C | B exact in
+    real arithmetic; rounding leaves its deviance within about 1e-8 of 0."""
+    pab = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    pcb = rng.uniform(0.05, 0.95, 2)
+    p = pab[:, :, None] * np.stack([1 - pcb, pcb], axis=1)[None]
+    return ContingencyTable(Schema(("A", "B", "C")), total * p)
+
+
+def check_clamped(t, stmt):
+    """The deviance is >= 0, and a positive one is the raw sum unchanged."""
+    dev, _ = independence_test(t, stmt)
+    margin = t.marginalize(stmt.a | stmt.b | stmt.c)
+    axes = margin.schema.axis
+    raw = deviance_of(margin.counts, independence_fit(
+        margin.counts, [axes(v) for v in stmt.a], [axes(v) for v in stmt.b]))
+    assert repr(dev) == (repr(raw) if raw > 0 else "0.0")
+    return raw
+
+
+def test_independence_deviance_rounding_residue_reads_zero():
+    rng = np.random.default_rng(5)
+    stmt = IndependenceStatement(frozenset("A"), frozenset("C"), frozenset("B"))
+    raws = [check_clamped(exactly_independent(rng), stmt) for _ in range(100)]
+    assert min(raws) < 0  # the residue this clamps does occur
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_and_statement())
+def test_independence_deviance_is_never_negative(case):
+    t, stmt = case
+    if t.marginalize(stmt.a | stmt.b | stmt.c).total > 0:
+        check_clamped(t, stmt)
 
 
 def test_closed_form_fits_run_no_ipf(study, cases, monkeypatch):

@@ -20,7 +20,13 @@ from casecontrol import (
     rr_mixture_weights,
     two_by_two,
 )
-from casecontrol.measures import chi_squares, margin_scaled, pearson_r
+from casecontrol.measures import (
+    chi_squares,
+    deviance_of,
+    independence_fit,
+    margin_scaled,
+    pearson_r,
+)
 
 from conftest import table_strategy
 
@@ -156,6 +162,19 @@ def test_pearson_chi2_is_n_r_squared(t):
 def test_odds_ratio_margin_invariance(t, f0, f1, r0, r1):
     scaled = margin_scaled(t, factor_scale=(f0, f1), response_scale=(r0, r1))
     assert odds_ratio(scaled) == pytest.approx(odds_ratio(t), rel=1e-9)
+
+
+def test_lr_chi2_rounding_residue_reads_zero():
+    # exactly independent in real arithmetic: rounding alone moves the
+    # statistic off 0, and a negative residue reads 0
+    rng = np.random.default_rng(5)
+    raws = []
+    for r, c in rng.uniform(0.1, 0.9, (100, 2)):
+        t = TwoByTwo(8e6 * r * c, 8e6 * r * (1 - c), 8e6 * (1 - r) * c, 8e6 * (1 - r) * (1 - c))
+        obs = np.array([[t.n11, t.n10], [t.n01, t.n00]])
+        raws.append(deviance_of(obs, independence_fit(obs, (0,), (1,))))
+        assert repr(chi_squares(t)[0]) == (repr(raws[-1]) if raws[-1] > 0 else "0.0")
+    assert min(raws) < 0
 
 
 def test_relative_risk_is_not_margin_invariant():

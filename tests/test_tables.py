@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import ContingencyTable, DataError, Schema, emit, from_cells, ingest
-from casecontrol.tables import LEVELS, json_names, strata_cells
+from casecontrol.tables import LEVELS, _ingest_plain, _ingest_rows, json_names, strata_cells
 from casecontrol.data import bundled_dataset_text
 
 from conftest import table_strategy
@@ -329,6 +330,139 @@ def test_ingest_matches_per_cell_ingest_on_malformed_rows(t, data):
         assert str(raised.value) == str(exc)
     else:
         assert ingest(text) == expected
+
+
+# -- the array fast path of ingest against the row checker ---------------------------
+
+def parent_emit(table):
+    """``emit`` as one ``csv.writer`` call over every row, kept verbatim."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(table.variables) + ["count"])
+    labels = itertools.product(LEVELS, repeat=len(table.variables))
+    writer.writerows([*levels, format(count, ".17g")]
+                     for levels, count in zip(labels, table.counts.ravel().tolist()))
+    return out.getvalue()
+
+
+def same_table(a, b):
+    return a.variables == b.variables and a.counts.tobytes() == b.counts.tobytes()
+
+
+# names that csv.writer quotes, or that the header reader strips
+ODD_NAMES = st.sampled_from(["A", "B,C", 'say "x"', " pad ", "count2", "é", "line\nbreak"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=real_tables(), names=st.lists(ODD_NAMES, min_size=5, max_size=5, unique=True))
+def test_emit_matches_the_csv_writer_byte_for_byte(t, names):
+    t = ContingencyTable(Schema(tuple(names[:len(t.variables)])), t.counts)
+    assert emit(t) == parent_emit(t)
+
+
+@st.composite
+def plain_files(draw):
+    """Emitted text of a real-valued table with its rows shuffled and some
+    dropped, with or without the final newline."""
+    t = draw(real_tables())
+    header, *rows = emit(t).splitlines()
+    rows = draw(st.permutations(rows))[:draw(st.integers(1, len(rows)))]
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_files())
+def test_fast_path_matches_the_row_checker(text):
+    try:
+        expected = _ingest_rows(text)
+    except DataError as exc:  # the kept rows hold no count
+        with pytest.raises(DataError) as raised:
+            _ingest_plain(text)
+        assert str(raised.value) == str(exc)
+    else:
+        fast = _ingest_plain(text)
+        assert fast is not None
+        assert same_table(fast, expected)
+
+
+def _malformed(lines, k, draw):
+    """One malformed (or merely reformatted) variant of the plain text lines."""
+    i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+    fields = lines[i].split(",")
+    kind = draw(st.sampled_from(["label", "separator", "duplicate", "count", "short", "long",
+                                 "blank", "quote", "crlf", "padded", "header", "empty",
+                                 "header_only"]))
+    if kind == "label":
+        fields[draw(st.integers(0, k - 1))] = draw(st.sampled_from(
+            ["2", "", "x", "01", "1.0", "-0", "\u0661", "\x00"]))
+    elif kind == "separator":  # a comma replaced by another character
+        if len(fields) > 1:
+            j = draw(st.integers(0, len(fields) - 2))
+            sep = draw(st.sampled_from([";", ".", "0", "1"]))
+            fields[j:j + 2] = [fields[j] + sep + fields[j + 1]]
+    elif kind == "duplicate":
+        return lines + [lines[draw(st.integers(0, len(lines) - 1))]]
+    elif kind == "count":
+        fields[-1] = draw(st.sampled_from(
+            ["-1", "-0.5", "abc", "", "inf", "nan", "-inf", "1e400", "-0", "1_0", "\x0c3",
+             "0x1", "\u0663", "3\x00"]))
+    elif kind == "short":
+        fields = fields[:-1]
+    elif kind == "long":
+        fields = fields + ["0"]
+    elif kind == "blank":
+        return lines[:i] + [draw(st.sampled_from(["", ",", " ", ",".join([" "] * (k + 1))]))] \
+            + lines[i:]
+    elif kind == "quote":
+        j = draw(st.integers(0, len(fields) - 1))
+        fields[j] = f'"{fields[j]}"'
+    elif kind == "crlf":
+        return [line + "\r" for line in lines]
+    elif kind == "padded":
+        j = draw(st.integers(0, len(fields) - 1))
+        fields[j] = draw(st.sampled_from([f" {fields[j]}", f"{fields[j]}\t", f"\x0b{fields[j]}"]))
+    elif kind == "header":
+        return [draw(st.sampled_from(
+            ["A,B", "A,A,count", "count,count", ",count", "count", "", "A,B,C,count,x"]))] + lines[1:]
+    elif kind == "empty":
+        return []
+    else:
+        return lines[:1]
+    return lines[:i] + [",".join(fields)] + lines[i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=real_tables(), data=st.data())
+def test_ingest_matches_the_row_checker_on_malformed_files(t, data):
+    lines = emit(t).splitlines()
+    lines = lines[:1] + data.draw(st.permutations(lines[1:]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _malformed(lines, len(t.variables), data.draw) if lines else lines
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    try:
+        expected = _ingest_rows(text)
+    except (DataError, csv.Error) as exc:  # csv.reader refuses a lone carriage return
+        with pytest.raises(type(exc)) as raised:
+            ingest(text)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        assert same_table(ingest(text), expected)
+
+
+REAL_COUNTS = (st.floats(0, 1e300, allow_nan=False)
+               | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                                  1.7976931348623157e308, 0.1, 1 / 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 4), data=st.data())
+def test_ingest_emit_round_trip_on_real_counts(k, data):
+    counts = data.draw(st.lists(REAL_COUNTS, min_size=2 ** k, max_size=2 ** k)
+                       .filter(lambda xs: 0 < sum(xs) < math.inf))
+    t = ContingencyTable(Schema(tuple("ABCD"[:k])), np.array(counts))
+    text = emit(t)
+    assert _ingest_plain(text) is not None  # emitted files take the array path
+    assert same_table(ingest(text), t)
 
 
 # -- strata of the flat cell index ---------------------------------------------
