@@ -20,11 +20,13 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, cell_levels, strata_cells, term_columns
+from .tables import (ContingencyTable, DataError, cross_products, strata_cells, term_columns,
+                     term_masks)
 from .measures import TwoByTwo, deviance_of
 
 DEFAULT_TOL = 1e-8
@@ -177,8 +179,8 @@ class LogitFit:
 
     Coefficient maps are keyed by term name (colon-joined variables, with
     ``(const)`` for the intercept).  An undefined standard error or z value
-    is ``None``.  ``fitted_probabilities`` is keyed by the regressor-cell
-    level tuple, in ``regressors`` order.
+    is ``None``.  ``probabilities`` are fitted at the occupied flat C-order
+    regressor cells ``cells``; equality does not compare the two arrays.
     """
 
     formula: LogitFormula
@@ -188,10 +190,17 @@ class LogitFit:
     z_obs: dict
     deviance_vs_saturated: float
     df: int
-    fitted_probabilities: dict
+    cells: np.ndarray = field(compare=False)
+    probabilities: np.ndarray = field(compare=False)
     converged: bool
     iterations: int
     message: str = field(default="", compare=False)
+
+    @cached_property
+    def fitted_probabilities(self) -> dict:
+        """Probabilities keyed by regressor-cell level tuple, in C order."""
+        levels = np.unravel_index(self.cells, (2,) * len(self.regressors))
+        return dict(zip(zip(*[axis.tolist() for axis in levels]), self.probabilities.tolist()))
 
     @property
     def p_value(self) -> float:
@@ -200,15 +209,19 @@ class LogitFit:
         return chi2_sf(self.deviance_vs_saturated, self.df)
 
 
-def _design(formula: LogitFormula, regressors, cells) -> np.ndarray:
-    """Intercept and term columns at flat C-order indices of the regressor cells."""
+def _terms(formula: LogitFormula, regressors) -> list[tuple[int, ...]]:
+    """The intercept and the formula's terms as tuples of regressor axes."""
     idx = {v: i for i, v in enumerate(regressors)}
     for term in formula.terms:
         for v in term:
             if v not in idx:
                 raise DataError(f"unknown variable {v!r} in formula")
-    terms = [()] + [tuple(idx[v] for v in term) for term in formula.terms]
-    return term_columns(len(regressors), terms, cells)
+    return [()] + [tuple(idx[v] for v in term) for term in formula.terms]
+
+
+def _design(formula: LogitFormula, regressors, cells) -> np.ndarray:
+    """Intercept and term columns at flat C-order indices of the regressor cells."""
+    return term_columns(len(regressors), _terms(formula, regressors), cells)
 
 
 def _grouped(observed: ContingencyTable, response: str):
@@ -251,6 +264,7 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
     y, n = y[occupied], n[occupied]
 
     X = _design(f, regressors, occupied)
+    masks = term_masks(len(regressors), _terms(f, regressors))
     if X.shape[0] < X.shape[1]:
         raise DataError("more model terms than occupied regressor cells")
 
@@ -259,13 +273,11 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
     converged = False
     message = ""
     iterations = 0
-    info = None
     for iterations in range(1, max_iter + 1):
         eta = X @ beta
         p = _expit(eta)
         score = X.T @ (y - n * p)
-        w = n * p * (1.0 - p)
-        info = X.T @ (X * w[:, None])
+        info = cross_products(len(regressors), masks, occupied, n * p * (1.0 - p), X)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -302,11 +314,11 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         converged = False
         message = "fitted probabilities numerically 0 or 1 (separation)"
     p = _expit(eta)
+    occupied.flags.writeable = p.flags.writeable = False  # the fit keeps both
     mu = n * p
     dev = deviance_of(np.concatenate([y, n - y]), np.concatenate([mu, n - mu]))
 
-    w = n * p * (1.0 - p)
-    info = X.T @ (X * w[:, None])
+    info = cross_products(len(regressors), masks, occupied, n * p * (1.0 - p), X)
     try:
         variances = np.diag(np.linalg.inv(info)).tolist()
     except np.linalg.LinAlgError:
@@ -327,7 +339,8 @@ def fit_logit(observed: ContingencyTable, f: LogitFormula,
         z_obs=z,
         deviance_vs_saturated=dev,
         df=len(occupied) - X.shape[1],
-        fitted_probabilities=dict(zip(cell_levels(occupied, len(regressors)), p.tolist())),
+        cells=occupied,
+        probabilities=p,
         converged=converged,
         iterations=iterations,
         message=message,
@@ -340,13 +353,10 @@ def score_residuals(observed: ContingencyTable, fit: LogitFit) -> np.ndarray:
     Zero (to within convergence tolerance) at the maximum; exposed for the
     score-equation checks in the test suite."""
     regressors, y, n = _grouped(observed, fit.formula.response)
-    levels = sorted(fit.fitted_probabilities)
-    k = len(regressors)
-    weights = [1 << (k - 1 - regressors.index(v)) for v in fit.regressors]
-    cells = np.array(levels, dtype=np.int64).reshape(-1, k) @ weights
-    X = _design(fit.formula, regressors, cells)
-    p = np.array([fit.fitted_probabilities[c] for c in levels])
-    return X.T @ (y[cells] - n[cells] * p)
+    shape = (2,) * len(regressors)
+    levels = np.unravel_index(fit.cells, shape)  # in fit.regressors order
+    cells = np.ravel_multi_index([levels[fit.regressors.index(v)] for v in regressors], shape)
+    return _design(fit.formula, regressors, cells).T @ (y[cells] - n[cells] * fit.probabilities)
 
 
 def loglik_and_gradient(observed: ContingencyTable, f: LogitFormula,
@@ -413,10 +423,8 @@ def fitted_odds_ratios(fit: LogitFit, pair: tuple[str, str], given,
             raise DataError(f"bad conditioning variable {v!r}")
 
     k = len(fit.regressors)
-    cells = np.array(list(fit.fitted_probabilities), dtype=np.int64).reshape(-1, k)
-    cells = cells @ (1 << np.arange(k - 1, -1, -1))
     p, seen = np.zeros(1 << k), np.zeros(1 << k, dtype=bool)
-    p[cells], seen[cells] = list(fit.fitted_probabilities.values()), True
+    p[fit.cells], seen[fit.cells] = fit.probabilities, True
     hi, lo = strata_cells(k, fit.regressors.index(factor), map(fit.regressors.index, given))
     # the pairs with both cells occupied, stratum by stratum, each in C order
     occupied = seen[hi] & seen[lo]

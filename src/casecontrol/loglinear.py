@@ -27,7 +27,7 @@ import numpy as np
 from . import graphs
 from .measures import deviance_of, independence_fit, pearson_of
 from .special import chi2_sf
-from .tables import ContingencyTable, DataError, Schema, term_columns
+from .tables import ContingencyTable, DataError, Schema, cross_products, term_columns, term_masks
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -462,34 +462,23 @@ class _Pieces:
 
 # -- variances of fitted log-count contrasts --------------------------------
 
-def term_design(schema: Schema, generators) -> np.ndarray:
-    """Design matrix of the hierarchical expansion: one row per cell in
-    lexicographic order, one dummy-coded column per distinct generator
-    subset (a column of ones for the empty set).
-
-    Columns are bit masks of the flat cell index (``tables.term_columns``).
-    """
-    return term_columns(len(schema), _terms(schema, generators),
-                        np.arange(2 ** len(schema)))
-
-
 def contrast_variances(fit: LoglinearFit, spec: LoglinearSpec, hi, lo) -> np.ndarray:
     """Asymptotic variances of the fitted log-count contrasts
     log m[hi] - log m[lo], one per pair of flat C-order cell indices.
 
-    With X the term design, W = diag(fitted) and D = X[hi] - X[lo], the
-    variances are the diagonal of D (X'WX)^-1 D', computed without forming
-    the cells-by-cells covariance X (X'WX)^-1 X'.  The contrasts sum to
+    With X the term columns, W = diag(fitted) and D = X[hi] - X[lo], the
+    variances are the diagonal of D (X'WX)^-1 D' (X'WX from `cross_products`),
+    without the cells-by-cells covariance X (X'WX)^-1 X'.  The contrasts sum to
     zero, where the Poisson and multinomial sampling schemes agree.  A
     contrast that touches a fitted zero has an undefined log and gives NaN;
     the others stay estimable from the positive cells, for which a
     pseudo-inverse of a singular X'WX is as good as the inverse.
     """
-    hi, lo = np.asarray(hi), np.asarray(lo)
-    X = term_design(spec.schema, spec.generators)
+    k = len(spec.schema)
+    masks = term_masks(k, spec.terms)
     w = fit.fitted.counts.ravel()
-    info = X.T @ (X * w[:, None])
-    D = X[hi] - X[lo]
+    info = cross_products(k, masks, np.flatnonzero(w), w[w > 0])
+    D = term_columns(k, spec.terms, hi) - term_columns(k, spec.terms, lo)
     var = np.sum(D * np.linalg.lstsq(info, D.T, rcond=None)[0].T, axis=1)
     var[(w[hi] == 0) | (w[lo] == 0)] = np.nan
     return var

@@ -20,6 +20,8 @@ import numpy as np
 
 from .tables import CellAddress, ContingencyTable, DataError
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class TwoByTwo:
@@ -76,12 +78,13 @@ def odds_ratio(t: TwoByTwo) -> float | None:
 def log_or_se(t: TwoByTwo) -> float | None:
     """Delta-method standard error of log odds-ratio: sqrt of summed reciprocals.
 
-    Undefined (None) if any cell is empty.
+    Undefined (None) if any cell is empty or the sum is not finite.
     """
     cells = (t.n11, t.n10, t.n01, t.n00)
     if any(c == 0 for c in cells):
         return None
-    return math.sqrt(sum(1.0 / c for c in cells))
+    total = sum(1.0 / c for c in cells)
+    return math.sqrt(total) if total < math.inf else None
 
 
 def relative_risk(t: TwoByTwo) -> float | None:
@@ -142,13 +145,25 @@ def pearson_r(t: TwoByTwo) -> float:
 
 
 def deviance_of(observed: np.ndarray, fitted: np.ndarray) -> float:
-    """2 sum n log(n / m) with 0 log 0 = 0; infinite where n > 0 = m."""
+    """2 sum n log(n / m) with 0 log 0 = 0; infinite where n > 0 = m.
+
+    Where n / m underflows (a subnormal n beside a large m), the log is
+    taken as log n - log m; every other term is n log(n / m) as written."""
     obs = observed.ravel()
     fit = fitted.ravel()
     pos = obs > 0
-    if np.any(fit[pos] == 0):
+    n, m = obs[pos], fit[pos]
+    if not m.all():
         return math.inf
-    return float(2.0 * np.sum(obs[pos] * np.log(obs[pos] / fit[pos])))
+    ratio = n / m
+    if ratio.min(initial=1.0) < _TINY:
+        under = ratio < _TINY
+        ratio[under] = 1.0
+        logs = np.log(ratio)
+        logs[under] = np.log(n[under]) - np.log(m[under])
+    else:
+        logs = np.log(ratio)
+    return float(2.0 * np.sum(n * logs))
 
 
 def pearson_of(observed: np.ndarray, fitted: np.ndarray) -> float:

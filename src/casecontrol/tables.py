@@ -176,24 +176,59 @@ class ContingencyTable:
         return self.condition({name: level})
 
 
-def cell_levels(cells, k: int) -> list[tuple[int, ...]]:
-    """Level tuples of flat C-order cell indices of a ``k``-variable table."""
-    levels = list(itertools.product((0, 1), repeat=k))
-    return [levels[i] for i in np.asarray(cells).tolist()]
+def term_masks(k: int, terms) -> np.ndarray:
+    """Flat cell index bit masks of terms given as tuples of table axes."""
+    return np.array([sum(1 << (k - 1 - axis) for axis in term) for term in terms], dtype=np.int64)
 
 
 def term_columns(k: int, terms, cells) -> np.ndarray:
     """Dummy-coded design columns over flat C-order cell indices.
 
     ``terms`` lists each term as a tuple of axes of a ``k``-variable table;
-    a term's column is 1 at the cells where all its variables are at level
-    1.  With the term's mask the sum of ``1 << (k - 1 - axis)``, that is
-    ``(cell & mask) == mask``; the empty term is a column of ones.
+    a term's column is 1 where ``(cell & mask) == mask``, all its variables
+    at level 1; the empty term is a column of ones.
     """
-    masks = np.array([sum(1 << (k - 1 - axis) for axis in term) for term in terms],
-                     dtype=np.int64)
+    return _mask_columns(term_masks(k, terms), cells)
+
+
+def _mask_columns(masks, cells) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)[:, None]
     return ((cells & masks) == masks).astype(float)
+
+
+def _containment(bits: int) -> np.ndarray:
+    """Z[s, c] = 1 where the ``bits``-bit cell index c contains s (c & s == s)."""
+    index = np.arange(1 << bits)
+    return ((index & index[:, None]) == index[:, None]).astype(float)
+
+
+_CONTAINMENT = tuple(map(_containment, range(7)))  # every Z of up to 12 variables, 43 KB
+
+
+def superset_sums(values) -> np.ndarray:
+    """Entry s sums ``values[c]`` over the flat cells c with c & s == s: the
+    zeta transform (Yates 1937; Good 1958) as Z V Z', V the values over the
+    high and low index bits, Z[s, c] = 1 where c contains s.  It takes
+    2^k (2^(k//2) + 2^(k - k//2)) multiply-adds, however many values are 0."""
+    k = len(values).bit_length() - 1
+    hi, lo = k // 2, k - k // 2
+    z_hi, z_lo = (_CONTAINMENT[hi], _CONTAINMENT[lo]) if k <= 12 else map(_containment, (hi, lo))
+    return np.dot(np.dot(z_hi, np.reshape(values, (1 << hi, 1 << lo))), z_lo.T).ravel()
+
+
+def cross_products(k: int, masks, cells, w, X=None) -> np.ndarray:
+    """X'WX of the 0/1 columns of term ``masks`` over the flat ``cells`` of a
+    ``k``-variable table, weight ``w[i]`` on ``cells[i]``: entry (s, t) sums w
+    over the cells that contain ``masks[s] | masks[t]``.  The superset sums of
+    the whole lattice give it for any number of cells; where the listed cells
+    take fewer multiply-adds, len(cells) p^2, the columns ``X`` over them do
+    (built here unless given)."""
+    if len(cells) * len(masks) ** 2 < (1 << k) * ((1 << k // 2) + (1 << k - k // 2)):
+        X = _mask_columns(masks, cells) if X is None else X
+        return X.T @ (X * w[:, None])
+    lattice = np.zeros(1 << k)
+    lattice[cells] = w
+    return superset_sums(lattice)[masks[:, None] | masks[None, :]]
 
 
 def strata_cells(k: int, factor: int, given) -> tuple[np.ndarray, np.ndarray]:
@@ -294,9 +329,9 @@ def _ingest_plain(cells_text: str) -> ContingencyTable | None:
 def _ingest_rows(cells_text: str) -> ContingencyTable:
     """The row checker: parses any cell-CSV text with ``csv.reader`` and
     names the line of the first malformed row."""
-    reader = csv.reader(io.StringIO(cells_text))
+    rows = _csv_rows(cells_text)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataError("no data rows") from None
     schema = _header_schema(header)
@@ -306,7 +341,7 @@ def _ingest_rows(cells_text: str) -> ContingencyTable:
     arr = np.zeros(2 ** k)
     seen = bytearray(2 ** k)
     n_rows = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) != k + 1:
@@ -332,6 +367,21 @@ def _ingest_rows(cells_text: str) -> ContingencyTable:
     if n_rows == 0:
         raise DataError("no data rows")
     return ContingencyTable(schema, arr)
+
+
+def _csv_rows(cells_text: str):
+    """(line, row) pairs of ``csv.reader``, the header at line 1; a row the
+    reader refuses (a field above its size limit, a stray carriage return)
+    is a DataError naming its line."""
+    reader = csv.reader(io.StringIO(cells_text))
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        yield lineno, row
 
 
 def emit(table: ContingencyTable) -> str:

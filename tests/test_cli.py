@@ -566,6 +566,26 @@ def test_undefined_ses_print_as_dash_and_null(capsys, tmp_path):
     assert [(t["se"], t["z"]) for t in terms] == [(None, None)] * 4
 
 
+SUBNORMAL_TABLE = "A,B,count\n0,0,5e-324\n0,1,1e6\n1,0,1e6\n1,1,1e6\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_count_gives_its_lr_chi2_and_no_se(capsys, tmp_path):
+    # n / m underflows at the subnormal cell, and 1 / 5e-324 overflows
+    path = tmp_path / "subnormal.csv"
+    path.write_text(SUBNORMAL_TABLE, encoding="utf-8")
+    argv = ["measure", "--pair", "A,B", "--data", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "  LR chi2         1046496.3\n" in out
+    assert "(se of log: -)" in out
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    assert payload["log_or_se"] is None
+    assert payload["lr_chi2"] == pytest.approx(1046496.2875290958, rel=1e-12)
+
+
 def test_json_output_refuses_nan():
     with pytest.raises(ValueError, match="JSON compliant"):
         _emit(argparse.Namespace(format="json"), {"se": math.nan}, [])
@@ -608,7 +628,8 @@ FILES = {
 }
 TEXTS = {"not_json": "{nodes", "data_ok": bundled_dataset_text(),
          "data_duplicate": "A,B,count\n0,0,1\n0,0,2\n", "data_nan": "A,count\n0,1\n1,nan\n",
-         "data_separated": SEPARATED, "data_no_v": without_v(bundled_dataset_text())}
+         "data_separated": SEPARATED, "data_no_v": without_v(bundled_dataset_text()),
+         "data_subnormal": SUBNORMAL_TABLE.replace("A,B", "L,V")}
 
 
 @pytest.fixture(scope="module")
@@ -622,7 +643,8 @@ def argv_cases(tmp_path_factory):
     path["binary"] = str(root / "binary")
     Path(path["binary"]).write_bytes(b"\xff\xfe\x00")
     bad = [path[n] for n in ("missing", "not_json", "number", "binary")]
-    data = pool([path["data_ok"], path["data_separated"], path["data_no_v"]],
+    data = pool([path["data_ok"], path["data_separated"], path["data_no_v"],
+                 path["data_subnormal"]],
                 [path["data_duplicate"], path["data_nan"], *bad])
     # every file is a reader's input, so malformed ones are as likely as valid ones
     models = st.sampled_from([path[n] for n in FILES if n.startswith("model_")] + bad)

@@ -23,6 +23,7 @@ from casecontrol import (
 )
 from casecontrol import logit
 from casecontrol.logit import FormulaError, loglik_and_gradient, score_residuals
+from casecontrol.tables import superset_sums, term_masks
 
 from conftest import table_strategy
 
@@ -373,6 +374,20 @@ def test_design_matches_per_cell_loop(drawn, data):
 
 
 @settings(max_examples=80, deadline=None)
+@given(drawn=formulas(), data=st.data())
+def test_lattice_information_matches_dense_product(drawn, data):
+    regressors, f = drawn
+    cells = 2 ** len(regressors)
+    w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=cells,
+                                    max_size=cells)))
+    X = logit._design(f, regressors, np.arange(cells))
+    masks = term_masks(len(regressors), logit._terms(f, regressors))
+    np.testing.assert_allclose(superset_sums(w)[masks[:, None] | masks[None, :]],
+                               X.T @ (X * w[:, None]),
+                               rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
 @given(t=table_strategy(min_vars=2, max_vars=5, max_count=3), data=st.data())
 def test_grouped_data_matches_cell_lookups(t, data):
     response = data.draw(st.sampled_from(t.variables))
@@ -447,9 +462,11 @@ def test_fitted_odds_ratios_match_per_cell_walk(problem, rel_tol, data):
     except DataError:
         return  # more terms than occupied cells
     # separation drives fitted probabilities to exactly 0 or 1; set a few so
-    snapped = data.draw(st.dictionaries(st.sampled_from(sorted(fit.fitted_probabilities)),
+    snapped = data.draw(st.dictionaries(st.sampled_from(range(len(fit.cells))),
                                         st.sampled_from([0.0, 1.0]), max_size=3))
-    fit = replace(fit, fitted_probabilities={**fit.fitted_probabilities, **snapped})
+    probabilities = fit.probabilities.copy()
+    probabilities[list(snapped)] = list(snapped.values())
+    fit = replace(fit, probabilities=probabilities)
     try:
         expected = per_cell_odds_ratios(fit, ("L", factor), given_, rel_tol)
     except DataError as exc:
@@ -462,12 +479,31 @@ def test_fitted_odds_ratios_match_per_cell_walk(problem, rel_tol, data):
     assert repr(sorted(ors.items())) == repr(sorted(expected.items()))
 
 
+@settings(max_examples=100, deadline=None)
+@given(problem=logit_problems())
+def test_fitted_probabilities_keep_the_level_tuple_mapping(problem):
+    t, f, _, _ = problem
+    try:
+        fit = fit_logit(t, f)
+    except DataError:
+        return  # more terms than occupied cells
+    _, _, n = logit._grouped(t, "L")
+    levels = list(itertools.product((0, 1), repeat=len(fit.regressors)))
+    # the mapping fits stored before: occupied cells' level tuples in C order
+    stored = dict(zip([levels[i] for i in np.flatnonzero(n > 0).tolist()],
+                      fit.probabilities.tolist()))
+    assert repr(list(fit.fitted_probabilities.items())) == repr(list(stored.items()))
+
+
 def test_fitted_odds_ratios_at_probabilities_0_and_1(study):
     fit = fit_logit(study.marginalize({"L", "V", "C"}), parse_formula("L : V*C"))
 
     def ors(probabilities, given_):
-        return fitted_odds_ratios(replace(fit, fitted_probabilities=probabilities),
-                                  ("L", "V"), given_)
+        # {(V, C) levels: probability} on the flat cells 2 V + C
+        cells = np.array([2 * v + c for v, c in probabilities], dtype=np.int64)
+        return fitted_odds_ratios(
+            replace(fit, cells=cells, probabilities=np.array(list(probabilities.values()))),
+            ("L", "V"), given_)
 
     # p1 = 1 or p0 = 0: zero denominator (1 - p1) p0, so None; p0 = 1 alone gives 0
     assert ors({(0, 0): 0.5, (1, 0): 1.0, (0, 1): 0.0, (1, 1): 0.5}, ("C",)) == {
@@ -498,10 +534,10 @@ def test_fitted_odds_ratio_of_a_stratum_is_its_last_pair(study):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_negative_variance_gives_no_se_and_no_warning():
-    # separation drives exp(-eta) past overflow, and the inverse information
-    # matrix has negative diagonal entries
+    # separation drives A:B towards infinity, and rounding leaves the inverse
+    # information matrix with negative diagonal entries except at C
     t = ContingencyTable(Schema(("L", "A", "B", "C")),
-                         np.array([0, 0, 3, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 3, 0, 0], float))
+                         np.array([0, 0, 1, 2, 3, 0, 0, 0, 0, 0, 3, 0, 3, 1, 0, 3], float))
     fit = fit_logit(t, parse_formula("L : A*B + C"))
     assert not fit.converged
     assert fit.se["A"] is None and fit.z_obs["A"] is None

@@ -31,9 +31,9 @@ from casecontrol.loglinear import (
     _complete_subsets,
     _Pieces,
     clique_spec,
-    term_design,
 )
 from casecontrol.special import chi2_sf
+from casecontrol.tables import term_columns
 
 from conftest import table_strategy
 
@@ -675,9 +675,10 @@ def test_clique_spec_matches_graph(cases):
 
 def test_term_design_shapes():
     schema = Schema(("A", "B", "C"))
-    X = term_design(schema, (("A", "B"), ("C",)))
+    cells = np.arange(8)
+    X = term_columns(3, LoglinearSpec(schema, (("A", "B"), ("C",))).terms, cells)
     assert X.shape == (8, 5)
     # saturated design is square and invertible
-    Xs = term_design(schema, (("A", "B", "C"),))
+    Xs = term_columns(3, LoglinearSpec(schema, (("A", "B", "C"),)).terms, cells)
     assert Xs.shape == (8, 8)
     assert np.linalg.matrix_rank(Xs) == 8

@@ -177,6 +177,45 @@ def test_lr_chi2_rounding_residue_reads_zero():
     assert min(raws) < 0
 
 
+SUBNORMAL = TwoByTwo(n11=1e6, n10=1e6, n01=1e6, n00=5e-324)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_count_keeps_its_lr_chi2():
+    # n / m underflows to 0 at the subnormal cell, whose term n log(n / m)
+    # is about -4e-321; the statistic is the three other terms
+    obs = np.array([[SUBNORMAL.n11, SUBNORMAL.n10], [SUBNORMAL.n01, SUBNORMAL.n00]])
+    fitted = independence_fit(obs, (0,), (1,))
+    reference = 2 * sum(n * (math.log(n) - math.log(m))
+                        for n, m in zip(obs.ravel().tolist(), fitted.ravel().tolist()))
+    assert deviance_of(obs, fitted) == pytest.approx(reference, rel=1e-12)
+    assert chi_squares(SUBNORMAL)[0] == pytest.approx(1046496.2875290958, rel=1e-12)
+    # the subnormal term alone is 2 n (log n - log m): neither -inf nor 0
+    alone = deviance_of(np.array([5e-324, 0.0]), np.array([1e6, 1.0]))
+    assert alone == pytest.approx(2 * 5e-324 * (math.log(5e-324) - math.log(1e6)), rel=1e-2)
+    assert alone < 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_deviance_of_is_unchanged_where_no_ratio_underflows(data):
+    # every ratio of two of these lies within [1e-300, 1e300]
+    size = data.draw(st.integers(1, 16))
+    obs = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(1e-150, 1e150),
+                                      min_size=size, max_size=size)))
+    fitted = np.array(data.draw(st.lists(st.floats(1e-150, 1e150), min_size=size,
+                                         max_size=size)))
+    pos = obs > 0
+    old = float(2.0 * np.sum(obs[pos] * np.log(obs[pos] / fitted[pos])))
+    assert repr(deviance_of(obs, fitted)) == repr(old)
+
+
+def test_log_or_se_is_none_when_the_sum_overflows():
+    # 1 / 5e-324 overflows to inf
+    assert log_or_se(SUBNORMAL) is None
+    assert log_or_se(TwoByTwo(1e-300, 1.0, 1.0, 1.0)) == pytest.approx(1e150)
+
+
 def test_relative_risk_is_not_margin_invariant():
     # doubling the response-level-1 column changes the risks but not the odds-ratio
     t = TwoByTwo(10, 40, 5, 45)

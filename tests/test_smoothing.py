@@ -22,7 +22,7 @@ from casecontrol import (
     smooth,
     two_by_two,
 )
-from casecontrol.loglinear import term_design
+from casecontrol.tables import term_columns
 
 SMOOTHED_ORS = {(0, 0): 4.7, (1, 0): 15.1, (0, 1): 12.1, (1, 1): 5.4}
 
@@ -324,7 +324,8 @@ def test_smoothed_ses_match_dense_covariance(problem):
 def test_term_design_matches_cell_loop(problem):
     _, model, _, _ = problem
     for spec in (model.case_spec, model.control_spec):
-        X = term_design(spec.schema, spec.generators)
+        k = len(spec.schema)
+        X = term_columns(k, spec.terms, np.arange(2 ** k))
         assert np.array_equal(X, _loop_term_design(spec.schema, spec.generators))
 
 

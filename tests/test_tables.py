@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casecontrol import ContingencyTable, DataError, Schema, emit, from_cells, ingest
-from casecontrol.tables import LEVELS, _ingest_plain, _ingest_rows, json_names, strata_cells
+from casecontrol import tables
+from casecontrol.tables import (LEVELS, _ingest_plain, _ingest_rows, cross_products, json_names,
+                                strata_cells, superset_sums, term_masks)
 from casecontrol.data import bundled_dataset_text
 
 from conftest import table_strategy
@@ -441,12 +443,24 @@ def test_ingest_matches_the_row_checker_on_malformed_files(t, data):
     text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
     try:
         expected = _ingest_rows(text)
-    except (DataError, csv.Error) as exc:  # csv.reader refuses a lone carriage return
-        with pytest.raises(type(exc)) as raised:
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
             ingest(text)
-        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        assert str(raised.value) == str(exc)
     else:
         assert same_table(ingest(text), expected)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A,count\n0,1\r,0\n", "line 2: new-line character seen in unquoted field"),
+    ("A,count\n0,1\n1," + "1" * (csv.field_size_limit() + 1) + "\n",
+     "line 3: field larger than field limit"),
+    ("A" * (csv.field_size_limit() + 1) + ",count\n0,1\n", "line 1: field larger than field limit"),
+])
+def test_rows_the_csv_reader_refuses_are_data_errors(text, message):
+    for read in (ingest, _ingest_rows):
+        with pytest.raises(DataError, match="^" + message):
+            read(text)
 
 
 REAL_COUNTS = (st.floats(0, 1e300, allow_nan=False)
@@ -463,6 +477,49 @@ def test_ingest_emit_round_trip_on_real_counts(k, data):
     text = emit(t)
     assert _ingest_plain(text) is not None  # emitted files take the array path
     assert same_table(ingest(text), t)
+
+
+# -- superset sums over the cell lattice -------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_superset_sums_match_brute_force(k, seed):
+    rng = np.random.default_rng(seed)
+    # small integers with zeros: every sum is exact in either order
+    values = rng.integers(-50, 50, 2 ** k) * rng.integers(0, 2, 2 ** k)
+    cells = range(2 ** k)
+    expected = [sum(int(values[c]) for c in cells if c & s == s) for s in cells]
+    assert superset_sums(values.astype(float)).tolist() == expected
+
+
+def brute_cross_products(masks, cells, w):
+    return [[sum(wi for c, wi in zip(cells, w) if c & (s | t) == s | t) for t in masks]
+            for s in masks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_cross_products_match_brute_force(k, seed):
+    rng = np.random.default_rng(seed)
+    masks = np.unique(np.append(rng.integers(0, 2 ** k, rng.integers(0, 12)), 0))
+    cells = np.flatnonzero(rng.random(2 ** k) < rng.random())  # none to every cell
+    # small integer weights: every sum is exact in either order
+    w = rng.integers(1, 50, len(cells)).astype(float)
+    assert (cross_products(k, masks, cells, w).tolist()
+            == brute_cross_products(masks.tolist(), cells.tolist(), w.tolist()))
+
+
+def test_cross_products_take_the_lattice_only_where_it_takes_fewer_steps(monkeypatch):
+    lattices = []
+    monkeypatch.setattr(tables, "superset_sums",
+                        lambda values: lattices.append(len(values)) or superset_sums(values))
+    masks = term_masks(8, [()] + [(a,) for a in range(8)])  # p = 9: 81 steps a cell
+    # the lattice takes 256 * 32 steps: more than 2 cells take, fewer than 256
+    for cells, taken in ((np.array([3, 200]), []), (np.arange(256), [256])):
+        w = np.arange(1.0, len(cells) + 1)
+        assert (cross_products(8, masks, cells, w).tolist()
+                == brute_cross_products(masks.tolist(), cells.tolist(), w.tolist()))
+        assert lattices == taken
 
 
 # -- strata of the flat cell index ---------------------------------------------
